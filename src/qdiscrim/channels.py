@@ -31,11 +31,12 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+_PAULI_STACK = np.stack(PAULIS)
 
 BLOCH_NORM_TOL = 1e-12
 COMPLETENESS_TOL = 1e-9
 _BALL_TOL = 1e-9
-_BALL_SAMPLES = 200
+_BALL_GRID = fibonacci_sphere(200)
 
 
 def _as_bloch(r) -> np.ndarray:
@@ -84,6 +85,7 @@ class KrausChannel:
         arr = np.array(ops, dtype=complex)
         if arr.ndim != 3 or arr.shape[0] == 0 or arr.shape[1] != arr.shape[2]:
             raise ValueError(f"expected a nonempty stack of square operators, got shape {arr.shape}")
+        linalg.require_finite(arr, "Kraus operators")
         completeness = np.einsum("kij,kil->jl", arr.conj(), arr)
         defect = float(np.max(np.abs(completeness - np.eye(arr.shape[1]))))
         if defect > COMPLETENESS_TOL:
@@ -107,7 +109,9 @@ class AffineChannel:
         c = np.zeros(3) if c is None else np.asarray(c, dtype=float)
         if c.shape != (3,):
             raise ValueError(f"expected a 3-vector offset, got shape {c.shape}")
-        reach = float(np.max(np.linalg.norm(fibonacci_sphere(_BALL_SAMPLES) @ m.T + c, axis=1)))
+        linalg.require_finite(m, "affine matrix m")
+        linalg.require_finite(c, "affine offset c")
+        reach = float(np.max(np.linalg.norm(_BALL_GRID @ m.T + c, axis=1)))
         if reach > 1.0 + _BALL_TOL:
             raise BlochBallViolation(f"map sends the Bloch ball out to radius {reach}")
         self.m = m
@@ -125,14 +129,9 @@ def kraus_to_affine(ch: KrausChannel) -> AffineChannel:
     """
     if ch.dim != 2:
         raise DimensionMismatch(f"affine Bloch form requires dimension 2, got {ch.dim}")
-    m = np.empty((3, 3))
-    for l in range(3):
-        image = ch.apply(PAULIS[l + 1])
-        for k in range(3):
-            m[k, l] = float(np.trace(PAULIS[k + 1] @ image).real) / 2.0
-    image_id = ch.apply(PAULI_I)
-    c = np.array([float(np.trace(PAULIS[k + 1] @ image_id).real) / 2.0 for k in range(3)])
-    return AffineChannel(m, c)
+    images = np.einsum("kij,sjl,kml->sim", ch.ops, _PAULI_STACK, ch.ops.conj())
+    overlaps = np.einsum("kab,lba->kl", _PAULI_STACK[1:], images).real / 2.0
+    return AffineChannel(overlaps[:, 1:], overlaps[:, 0])
 
 
 _NAMED_CHANNELS = ("bit_flip", "phase_flip", "bit_phase_flip",
@@ -189,6 +188,7 @@ class GpcChannel:
         q = np.asarray(q, dtype=float)
         if q.shape != (d * d,):
             raise InvalidDistribution(f"expected {d * d} probabilities, got shape {q.shape}")
+        linalg.require_finite(q, "probabilities q")
         if np.any(q < 0.0):
             raise InvalidDistribution("probabilities must be nonnegative")
         if abs(float(np.sum(q)) - 1.0) > 1e-12:

@@ -324,7 +324,8 @@ def _cmd_simulate(args) -> int:
             print(f"error: --input must be 'optimal' or 'x,y,z', got {args.input!r}",
                   file=sys.stderr)
             return EXIT_INPUT
-        if bloch.shape != (3,) or abs(np.linalg.norm(bloch) - 1.0) > 1e-9:
+        # Written so that a NaN entry fails the test too.
+        if bloch.shape != (3,) or not abs(np.linalg.norm(bloch) - 1.0) <= 1e-9:
             print("error: --input Bloch vector must be a unit 3-vector (a pure probe state)",
                   file=sys.stderr)
             return EXIT_INPUT

@@ -5,6 +5,10 @@ class QdiscrimError(Exception):
     """Base class for every domain or validation error raised by qdiscrim."""
 
 
+class NotFinite(QdiscrimError):
+    """Numeric input holds a NaN or an infinity."""
+
+
 class NotHermitian(QdiscrimError):
     """Matrix deviates from its conjugate transpose beyond tolerance."""
 

@@ -196,15 +196,15 @@ def qubit_product_perfect(e1: KrausChannel, e2: KrausChannel) -> PerfectVerdict:
     g = np.array(rows)
     h = np.array(rhs)
 
-    gram = g.T @ g
-    res = hermitian_eig(gram)
-    vals = res.eigenvalues
-    vecs = res.eigenvectors.real
-    keep = np.sqrt(np.maximum(vals, 0.0)) > _RANK_TOL
-    target = -(g.T @ h)
+    # Rank comes from the singular values of g itself: squaring them into
+    # Gram eigenvalues would lift a rounding-level null value of ~1e-17
+    # to ~3e-9 after the square root, above the rank tolerance.
+    left, sing, right = np.linalg.svd(g)
+    keep = np.zeros(3, dtype=bool)
+    keep[:sing.size] = sing > _RANK_TOL
     r0 = np.zeros(3)
     for i in np.flatnonzero(keep):
-        r0 += (vecs[:, i] @ target / vals[i]) * vecs[:, i]
+        r0 -= (left[:, i] @ h / sing[i]) * right[i]
     if float(np.max(np.abs(g @ r0 + h))) > _RANK_TOL:
         return PerfectVerdict(NO, STRATEGY_PRODUCT, None, METHOD_QUBIT_BLOCH)
 
@@ -218,7 +218,7 @@ def qubit_product_perfect(e1: KrausChannel, e2: KrausChannel) -> PerfectVerdict:
         if base_norm > 1.0 + _RANK_TOL:
             return PerfectVerdict(NO, STRATEGY_PRODUCT, None, METHOD_QUBIT_BLOCH)
         spare = np.sqrt(max(0.0, 1.0 - base_norm * base_norm))
-        r = r0 + spare * vecs[:, null_dims[0]]
+        r = r0 + spare * right[null_dims[0]]
         r = r / np.linalg.norm(r)
     psi = _fix_phase(_state_from_bloch(r))
     return PerfectVerdict(YES, STRATEGY_PRODUCT, psi, METHOD_QUBIT_BLOCH)

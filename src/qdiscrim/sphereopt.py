@@ -56,40 +56,41 @@ def _coerce(m, c) -> tuple[np.ndarray, np.ndarray]:
     return m, c
 
 
-def _secular_root(d: np.ndarray, b: np.ndarray) -> float:
-    """Unique root lam > d[0] of sum b_i^2 / (lam - d_i)^2 = 1.
+def _secular_root(gaps: np.ndarray, b: np.ndarray) -> float:
+    """Unique root t > 0 of sum b_i^2 / (t + gaps_i)^2 = 1, with gaps_i = d[0] - d[i].
 
+    The multiplier is lam = d[0] + t.  Solving for the shift t keeps its
+    full relative precision when the root crowds the top eigenvalue.
     Safeguarded bisection-Newton: the function is convex decreasing on
-    (d[0], inf), so Newton steps are kept inside a shrinking bracket.
+    (0, inf), so Newton steps are kept inside a shrinking bracket.  The
+    sums run over the (at most three) nonzero terms in plain floats.
     """
-    nz = b != 0.0
-    bsq = b[nz] ** 2
-    dn = d[nz]
+    terms = [(float(bi) ** 2, float(gap)) for bi, gap in zip(b, gaps) if bi != 0.0]
 
-    def g(lam: float) -> float:
-        return float(np.sum(bsq / (lam - dn) ** 2))
+    def g(t: float) -> float:
+        return sum(bsq / (t + gap) ** 2 for bsq, gap in terms)
 
-    lo = d[0] + 1e-14
-    hi = d[0] + float(np.linalg.norm(b)) + 1.0
+    lo = 1e-14
+    hi = math.sqrt(sum(bsq for bsq, _ in terms)) + 1.0
     if g(lo) < 1.0:
         return lo
     while g(hi) >= 1.0:  # pragma: no cover - bracket end is already safe
-        hi = d[0] + 2.0 * (hi - d[0])
-    lam = 0.5 * (lo + hi)
+        hi = 2.0 * hi
+    t = 0.5 * (lo + hi)
     for _ in range(200):
-        h = g(lam) - 1.0
+        h = g(t) - 1.0
         if abs(h) < _SECULAR_VALUE_TOL:
             break
         if h > 0.0:
-            lo = lam
+            lo = t
         else:
-            hi = lam
+            hi = t
         if hi - lo < _SECULAR_BRACKET_TOL:
             break
-        slope = float(np.sum(-2.0 * bsq / (lam - dn) ** 3))
-        newton = lam - h / slope if slope != 0.0 else lam
-        lam = newton if lo < newton < hi else 0.5 * (lo + hi)
-    return lam
+        slope = sum(-2.0 * bsq / (t + gap) ** 3 for bsq, gap in terms)
+        newton = t - h / slope if slope != 0.0 else t
+        t = newton if lo < newton < hi else 0.5 * (lo + hi)
+    return t
 
 
 def maximize_on_sphere(m, c=None) -> SphereMaxResult:
@@ -107,24 +108,24 @@ def maximize_on_sphere(m, c=None) -> SphereMaxResult:
     d = eig.eigenvalues
     basis = eig.eigenvectors.real
     b = basis.T @ (m.T @ c)
+    gaps = d[0] - d
 
-    top = (d[0] - d) < _DEGENERACY_TOL
+    top = gaps < _DEGENERACY_TOL
     hard = float(np.linalg.norm(b[top])) < _HARD_CASE_TOL
     if not hard:
-        lam = _secular_root(d, b)
-        u = b / (lam - d)
+        t = _secular_root(gaps, b)
+        u = b / (t + gaps)
     else:
         b_eff = np.where(top, 0.0, b)
         rest = ~top
-        g_limit = float(np.sum(b_eff[rest] ** 2 / (d[0] - d[rest]) ** 2)) if rest.any() else 0.0
+        g_limit = float(np.sum(b_eff[rest] ** 2 / gaps[rest] ** 2)) if rest.any() else 0.0
+        u = np.zeros(3)
         if g_limit >= 1.0:
-            lam = _secular_root(d, b_eff)
-            u = np.zeros(3)
-            u[rest] = b_eff[rest] / (lam - d[rest])
+            t = _secular_root(gaps, b_eff)
+            u[rest] = b_eff[rest] / (t + gaps[rest])
         else:
-            lam = d[0]
-            u = np.zeros(3)
-            u[rest] = b[rest] / (d[0] - d[rest])
+            t = 0.0
+            u[rest] = b[rest] / gaps[rest]
             deficit = math.sqrt(max(0.0, 1.0 - float(u @ u)))
             u[np.flatnonzero(top)[-1]] = deficit
     r = basis @ u
@@ -137,7 +138,8 @@ def maximize_on_sphere(m, c=None) -> SphereMaxResult:
         nz = np.flatnonzero(np.abs(r) > _SIGN_TOL)
         if nz.size and r[nz[0]] < 0.0:
             r = -r
-    return SphereMaxResult(value=value, argmax=r, multiplier=float(lam), hard_case=bool(hard))
+    return SphereMaxResult(value=value, argmax=r, multiplier=float(d[0] + t),
+                           hard_case=bool(hard))
 
 
 def grid_oracle(m, c=None, n: int = 10000) -> float:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qdiscrim.channels import (
     AffineChannel,
@@ -27,6 +30,7 @@ from qdiscrim.errors import (
     BlochBallViolation,
     DimensionMismatch,
     InvalidDistribution,
+    NotFinite,
     NotTracePreserving,
     ParamOutOfRange,
     UnknownName,
@@ -87,6 +91,35 @@ def test_kraus_vs_direct_evolution(rng):
             np.testing.assert_allclose(evolved, aff.apply(r), atol=1e-9)
 
 
+def _affine_by_apply(ch):
+    """Reference (M, c) from the definition, one apply and one trace per entry."""
+    m = np.array([[np.trace(PAULIS[k] @ ch.apply(PAULIS[l])).real / 2.0 for l in (1, 2, 3)]
+                  for k in (1, 2, 3)])
+    c = np.array([np.trace(PAULIS[k] @ ch.apply(PAULI_I)).real / 2.0 for k in (1, 2, 3)])
+    return m, c
+
+
+@st.composite
+def kraus_channels(draw):
+    """1 to 4 qubit operators with entries in [-1, 1], made trace preserving."""
+    k = draw(st.integers(1, 4))
+    entries = arrays(np.float64, (k, 2, 2), elements=st.floats(-1.0, 1.0))
+    raw = draw(entries) + 1j * draw(entries)
+    gram = np.einsum("kij,kil->jl", raw.conj(), raw)
+    evals, evecs = np.linalg.eigh(gram)
+    assume(evals[0] > 1e-3)
+    return KrausChannel(raw @ (evecs @ np.diag(evals ** -0.5) @ evecs.conj().T))
+
+
+@settings(deadline=None)
+@given(kraus_channels())
+def test_kraus_to_affine_matches_apply_definition(ch):
+    aff = kraus_to_affine(ch)
+    m, c = _affine_by_apply(ch)
+    assert np.max(np.abs(aff.m - m)) <= 1e-14
+    assert np.max(np.abs(aff.c - c)) <= 1e-14
+
+
 _EQ14_LINES = {
     # name -> (diag of M as function of parameter, offset)
     "bit_flip": lambda p: ([1.0, 2 * p - 1, 2 * p - 1], [0, 0, 0]),
@@ -128,6 +161,22 @@ def test_affine_channel_rejects_expanding_maps():
         AffineChannel(1.5 * np.eye(3))
     with pytest.raises(BlochBallViolation):
         AffineChannel(np.eye(3), [0.0, 0.0, 0.5])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_channels_reject_non_finite_numbers(bad):
+    m = np.diag([0.5, 0.5, 0.5])
+    m[1, 2] = bad
+    with pytest.raises(NotFinite, match=r"entry \[1, 2\]"):
+        AffineChannel(m)
+    with pytest.raises(NotFinite):
+        AffineChannel(np.eye(3) * 0.5, [0.0, bad, 0.0])
+    with pytest.raises(NotFinite):
+        KrausChannel([np.array([[1.0, 0.0], [0.0, bad]])])
+    with pytest.raises(NotFinite):
+        pauli_channel([bad, 0.0, 0.0, 0.0])
+    with pytest.raises(NotFinite):
+        gpc_channel(3, [bad] + [0.0] * 8)
 
 
 def test_pauli_to_affine_examples():

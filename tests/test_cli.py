@@ -224,3 +224,29 @@ def test_invalid_spec_is_anchored(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_INPUT
     assert "channels[1]" in err
+
+
+@pytest.mark.parametrize("channel", [
+    {"kind": "affine", "m": [[0.5, 0, 0], [0, float("nan"), 0], [0, 0, 0.5]], "c": [0, 0, 0]},
+    {"kind": "affine", "m": [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0.5]], "c": [0, float("inf"), 0]},
+    {"kind": "kraus", "ops": [[[[1, 0], [0, 0]], [[0, 0], [float("nan"), 0]]]]},
+    {"kind": "pauli", "q": [float("nan"), 0.0, 0.0, 0.0]},
+])
+def test_pe_rejects_non_finite_numbers(tmp_path, capsys, channel):
+    path = write_spec(tmp_path, [channel, NAMED_IDENT])
+    code = main(["pe", path])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert "channels[0]" in captured.err and "must be finite" in captured.err
+
+
+def test_non_finite_prior_and_probe_are_input_errors(tmp_path, capsys):
+    path = write_spec(tmp_path, [NAMED_IDENT, NAMED_DEP1], p1=float("nan"))
+    assert main(["pe", path]) == EXIT_INPUT
+    path = write_spec(tmp_path, [NAMED_IDENT, NAMED_DEP1], name="ok.json")
+    assert main(["pe", path, "--p1", "nan"]) == EXIT_INPUT
+    assert main(["simulate", path, "--input", "nan,0,0", "--trials", "100"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--input" in captured.err

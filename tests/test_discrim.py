@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qdiscrim.channels import (
     KrausChannel,
@@ -25,7 +27,7 @@ from qdiscrim.discrim import (
     pauli_closed_form,
     pauli_sacchi_form,
 )
-from qdiscrim.errors import InvalidDistribution, NotUnital
+from qdiscrim.errors import InvalidDistribution, NotFinite, NotUnital
 from qdiscrim.linalg import trace_norm_hermitian
 
 HALF = PriorPair(0.5, 0.5)
@@ -37,6 +39,9 @@ def test_prior_pair_validation():
         PriorPair(0.6, 0.6)
     with pytest.raises(InvalidDistribution):
         PriorPair(-0.1, 1.1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NotFinite):
+            PriorPair.from_p1(bad)
 
 
 def test_helstrom_trace_norm_examples():
@@ -170,12 +175,16 @@ def test_pauli_sacchi_form_examples():
         pauli_sacchi_form([1, 0, 0], [1, 0, 0, 0], HALF)
 
 
-def test_pauli_forms_agree(rng):
-    for _ in range(1000):
-        q1, q2 = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
-        priors = PriorPair.from_p1(rng.uniform(0, 1))
-        closed = pauli_closed_form(q1, q2, priors)
-        assert abs(closed.p_error - pauli_sacchi_form(q1, q2, priors)) <= 1e-12
+probability_4_vectors = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
+    lambda w: sum(w) >= 1e-6).map(lambda w: np.array(w) / sum(w))
+
+
+@given(probability_4_vectors, probability_4_vectors, st.floats(0.0, 1.0))
+def test_pauli_forms_agree(q1, q2, p1):
+    # pauli_sacchi_form is the pairwise-sum rewrite of pauli_closed_form.
+    priors = PriorPair.from_p1(p1)
+    closed = pauli_closed_form(q1, q2, priors)
+    assert abs(closed.p_error - pauli_sacchi_form(q1, q2, priors)) <= 1e-12
 
 
 def test_pauli_matches_sphere_optimizer(rng):

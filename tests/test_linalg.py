@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from qdiscrim.errors import NotHermitian
+from qdiscrim.errors import NotFinite, NotHermitian
 from qdiscrim.linalg import (
     hermitian_eig,
     hermiticity_defect,
@@ -61,10 +64,42 @@ def test_eig_deterministic_and_phase_convention(rng):
         assert pivot.real > 0.0 and abs(pivot.imag) < 1e-12
 
 
+@st.composite
+def hermitian_matrices(draw):
+    """Real symmetric or complex Hermitian matrices of size 1 to 16, entries in [-1, 1]."""
+    n = draw(st.integers(1, 16))
+    entries = arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0))
+    z = draw(entries) + (1j * draw(entries) if draw(st.booleans()) else 0.0)
+    return (z + z.conj().T) / 2.0
+
+
+@settings(deadline=None)
+@given(hermitian_matrices())
+def test_eig_contract_property(h):
+    n = h.shape[0]
+    res = hermitian_eig(h)
+    vals, q = res.eigenvalues, res.eigenvectors
+    assert np.all(np.diff(vals) <= 0.0)
+    assert np.max(np.abs(q.conj().T @ q - np.eye(n))) <= 1e-12
+    scale = max(1.0, float(np.max(np.abs(h))))
+    assert np.max(np.abs(q @ np.diag(vals) @ q.conj().T - h)) <= 1e-12 * scale
+    for j in range(n):
+        pivot = q[np.flatnonzero(np.abs(q[:, j]) > 1e-12)[0], j]
+        assert pivot.real > 0.0 and abs(pivot.imag) <= 1e-12
+    again = hermitian_eig(h)
+    assert np.array_equal(again.eigenvalues, vals) and np.array_equal(again.eigenvectors, q)
+
+
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert hermiticity_defect(np.array([[0.0, 1.0], [0.0, 0.0]])) == 1.0
+
+
+def test_eig_rejects_non_finite():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NotFinite):
+            hermitian_eig(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 def test_trace_norm_trivial_cases():

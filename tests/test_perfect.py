@@ -116,6 +116,19 @@ def test_qubit_product_agrees_with_unitary_polygon(rng):
         assert a == b
 
 
+def test_qubit_product_perfect_antipodal_unitaries_as_kraus(rng):
+    # U1^dag U2 with eigenvalues e^{ia} and -e^{ia} is perfectly distinguishable
+    # with a product probe; its cross operator gives a rank-1 linear system.
+    for _ in range(50):
+        u1, v = _haar_unitary(rng), _haar_unitary(rng)
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        u2 = u1 @ v @ np.diag(np.exp(1j * np.array([angle, angle + np.pi]))) @ v.conj().T
+        e1, e2 = KrausChannel([u1]), KrausChannel([u2])
+        verdict = qubit_product_perfect(e1, e2)
+        assert verdict.distinguishable == YES
+        assert _max_cross_term(e1, e2, verdict.certificate) < 1e-8
+
+
 def test_gpc_perfect_entangled_examples():
     yes = gpc_perfect_entangled(pauli_channel([1, 0, 0, 0]), pauli_channel([0, 1, 0, 0]))
     assert yes.distinguishable == YES

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qdiscrim.sphereopt import fibonacci_sphere, grid_oracle, maximize_on_sphere
 
@@ -55,6 +58,31 @@ def test_result_invariants(rng):
         assert np.linalg.norm(stationarity) < 1e-8
         top = np.linalg.eigvalsh(m.T @ m)[-1]
         assert res.multiplier >= top - 1e-10
+
+
+def _kkt_residual(m, c, res):
+    return float(np.linalg.norm(m.T @ (m @ res.argmax + c) - res.multiplier * res.argmax))
+
+
+def test_near_hard_case_keeps_kkt_residual():
+    # The offset barely touches the top eigenspace, so the multiplier sits
+    # within ~1e-11 of the top eigenvalue of m^T m.
+    m = np.diag([1.0, 0.5, 0.5])
+    for along_top in (5e-12, 3e-11, 1e-10, 1e-9):
+        c = np.array([along_top, 0.3, 0.0])
+        res = maximize_on_sphere(m, c)
+        assert not res.hard_case
+        assert _kkt_residual(m, c, res) < 1e-9
+        assert abs(res.value - np.linalg.norm(m @ res.argmax + c)) < 1e-12
+
+
+@settings(deadline=None)
+@given(arrays(np.float64, (3, 3), elements=st.floats(-1.0, 1.0)),
+       arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)))
+def test_kkt_residual_property(m, c):
+    res = maximize_on_sphere(m, c)
+    assert abs(float(np.linalg.norm(res.argmax)) - 1.0) < 1e-12
+    assert _kkt_residual(m, c, res) < 1e-9
 
 
 def test_global_optimality_sampled(rng):
