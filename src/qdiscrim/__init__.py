@@ -10,12 +10,7 @@ __version__ = "0.1.0"
 
 from .channels import (
     AffineChannel,
-    GpcChannel,
     KrausChannel,
-    bloch_to_density,
-    characteristic_vector,
-    density_to_bloch,
-    gpc_basis,
     gpc_channel,
     gpc_to_kraus,
     kraus_to_affine,
@@ -23,75 +18,37 @@ from .channels import (
     pauli_channel,
     pauli_to_affine,
 )
-from .discrim import (
-    DiscriminationResult,
-    PriorPair,
-    helstrom_trace_norm,
-    max_abs_identity,
-    min_error_probability,
-    min_error_unital,
-    pauli_closed_form,
-    pauli_sacchi_form,
-)
-from .linalg import (
-    EigenResult,
-    hermitian_eig,
-    hull_contains_origin,
-    spectral_norm,
-    trace_norm_hermitian,
-)
-from .oracle import OracleEstimate, helstrom_error_at, sampled_min_error, simulate_experiment
+from .discrim import PriorPair, min_error_probability, pauli_closed_form
+from .oracle import helstrom_error_at, sampled_min_error, simulate_experiment
 from .perfect import (
-    PerfectVerdict,
     cross_operators,
     gpc_perfect_entangled,
-    maximally_entangled,
     numeric_isotropic_search,
     qubit_product_perfect,
     unitary_perfect,
 )
-from .sphereopt import SphereMaxResult, fibonacci_sphere, grid_oracle, maximize_on_sphere
+from .sphereopt import grid_oracle, maximize_on_sphere
 
 __all__ = [
     "AffineChannel",
-    "DiscriminationResult",
-    "EigenResult",
-    "GpcChannel",
     "KrausChannel",
-    "OracleEstimate",
-    "PerfectVerdict",
     "PriorPair",
-    "SphereMaxResult",
-    "bloch_to_density",
-    "characteristic_vector",
     "cross_operators",
-    "density_to_bloch",
-    "fibonacci_sphere",
-    "gpc_basis",
     "gpc_channel",
     "gpc_perfect_entangled",
     "gpc_to_kraus",
     "grid_oracle",
     "helstrom_error_at",
-    "helstrom_trace_norm",
-    "hermitian_eig",
-    "hull_contains_origin",
     "kraus_to_affine",
-    "max_abs_identity",
-    "maximally_entangled",
     "maximize_on_sphere",
     "min_error_probability",
-    "min_error_unital",
     "named_channel",
     "numeric_isotropic_search",
     "pauli_channel",
     "pauli_closed_form",
-    "pauli_sacchi_form",
     "pauli_to_affine",
     "qubit_product_perfect",
     "sampled_min_error",
     "simulate_experiment",
-    "spectral_norm",
-    "trace_norm_hermitian",
     "unitary_perfect",
 ]

@@ -16,15 +16,13 @@ from .errors import (
     BasisNotPauli,
     BlochBallViolation,
     DimensionMismatch,
-    InvalidDistribution,
     NotHermitian,
     NotTracePreserving,
-    NotUnitary,
     ParamOutOfRange,
     UnknownName,
     UnsupportedDimension,
 )
-from .sphereopt import fibonacci_sphere
+from .sphereopt import coerce_affine, fibonacci_sphere
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -53,6 +51,20 @@ def bloch_to_density(r) -> np.ndarray:
     """Density matrix (I + r . sigma) / 2 of the Bloch vector r."""
     r = _as_bloch(r)
     return (PAULI_I + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z) / 2.0
+
+
+def bloch_to_ket(r) -> np.ndarray:
+    """Ket cos(theta/2)|0> + e^(i phi) sin(theta/2)|1> with the unit Bloch vector r."""
+    theta = np.arccos(np.clip(r[2], -1.0, 1.0))
+    phi = np.arctan2(r[1], r[0])
+    return np.array([np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * phi)])
+
+
+def maximally_entangled(d: int) -> np.ndarray:
+    """The state sum_k |k>|k> / sqrt(d) as a d^2 vector."""
+    psi = np.zeros(d * d, dtype=complex)
+    psi[np.arange(d) * d + np.arange(d)] = 1.0 / np.sqrt(d)
+    return psi
 
 
 def validate_density(rho) -> np.ndarray:
@@ -103,12 +115,7 @@ class AffineChannel:
     """Bloch-ball action r -> m r + c of a qubit channel."""
 
     def __init__(self, m, c=None):
-        m = np.asarray(m, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-        c = np.zeros(3) if c is None else np.asarray(c, dtype=float)
-        if c.shape != (3,):
-            raise ValueError(f"expected a 3-vector offset, got shape {c.shape}")
+        m, c = coerce_affine(m, c)
         linalg.require_finite(m, "affine matrix m")
         linalg.require_finite(c, "affine offset c")
         reach = float(np.max(np.linalg.norm(_BALL_GRID @ m.T + c, axis=1)))
@@ -185,22 +192,13 @@ class GpcChannel:
     def __init__(self, d: int, q, basis):
         if d < 2:
             raise UnsupportedDimension(f"dimension must be >= 2, got {d}")
-        q = np.asarray(q, dtype=float)
-        if q.shape != (d * d,):
-            raise InvalidDistribution(f"expected {d * d} probabilities, got shape {q.shape}")
-        linalg.require_finite(q, "probabilities q")
-        if np.any(q < 0.0):
-            raise InvalidDistribution("probabilities must be nonnegative")
-        if abs(float(np.sum(q)) - 1.0) > 1e-12:
-            raise InvalidDistribution(f"probabilities sum to {float(np.sum(q))}, expected 1")
+        q = linalg.require_distribution(q, d * d, "probabilities q")
         ops = [linalg.as_complex_matrix(u) for u in basis]
         if len(ops) != d * d or any(u.shape != (d, d) for u in ops):
             raise ValueError(f"basis must hold {d * d} unitaries of dimension {d}")
         stack = np.stack(ops)
         for u in ops:
-            defect = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
-            if defect > 1e-9:
-                raise NotUnitary(f"basis element deviates from unitary by {defect:.3e}")
+            linalg.require_unitary(u, "basis element")
         gram = np.einsum("mij,nij->mn", stack.conj(), stack)
         if float(np.max(np.abs(gram - d * np.eye(d * d)))) > 1e-9:
             raise BasisNotOrthogonal("basis is not trace-orthogonal: Tr(U_m^dag U_n) != d delta_mn")

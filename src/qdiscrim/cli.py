@@ -20,6 +20,7 @@ from .channels import (
     AffineChannel,
     GpcChannel,
     KrausChannel,
+    bloch_to_ket,
     gpc_channel,
     gpc_to_kraus,
     kraus_to_affine,
@@ -105,10 +106,14 @@ class ChannelSpec:
             return self.affine
         if self.kind == "pauli":
             return pauli_to_affine(self.gpc)
-        if self.dim != 2:
-            raise UnsupportedDimension(
-                f"affine Bloch form requires dimension 2, got {self.dim}")
         return kraus_to_affine(self.to_kraus())
+
+
+def _require_qubits(specs: list[ChannelSpec], command: str) -> None:
+    for spec in specs:
+        if spec.dim != 2:
+            raise UnsupportedDimension(
+                f"{command} requires qubit channels, got dimension {spec.dim}")
 
 
 def _parse_spec(raw, where: str) -> ChannelSpec:
@@ -129,7 +134,10 @@ def _parse_spec(raw, where: str) -> ChannelSpec:
         if kind == "pauli":
             return ChannelSpec(kind, gpc=pauli_channel(raw.get("q")))
         if kind == "gpc":
-            return ChannelSpec(kind, gpc=gpc_channel(int(raw.get("d", 0)), raw.get("q")))
+            d = raw.get("d")
+            if isinstance(d, bool) or not isinstance(d, int):
+                raise CliInputError(f"{where}: gpc spec needs an integer 'd', got {d!r}")
+            return ChannelSpec(kind, gpc=gpc_channel(d, raw.get("q")))
         if kind == "unitary":
             return ChannelSpec(kind, unitary=_parse_complex_matrix(raw.get("matrix"), where))
         return ChannelSpec(kind, affine=AffineChannel(raw.get("m"), raw.get("c")))
@@ -157,7 +165,7 @@ def _load_file(path: str, expect: int | None = 2) -> tuple[list[ChannelSpec], fl
         raise CliInputError(f"{path}: expected exactly {expect} channels, got {len(raw_channels)}")
     specs = [_parse_spec(raw, f"{path}: channels[{i}]") for i, raw in enumerate(raw_channels)]
     p1 = doc.get("p1")
-    if p1 is not None and not isinstance(p1, (int, float)):
+    if p1 is not None and (isinstance(p1, bool) or not isinstance(p1, (int, float))):
         raise CliInputError(f"{path}: 'p1' must be a number")
     return specs, p1, digest
 
@@ -178,10 +186,7 @@ def _report(command: str, digest: str, body: dict) -> dict:
 
 
 def _emit(report: dict, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(report, indent=2))
-    else:
-        print(json.dumps(report))
+    print(json.dumps(report, indent=2 if pretty else None, allow_nan=False))
 
 
 def _affine_payload(aff: AffineChannel) -> dict:
@@ -192,10 +197,7 @@ def _affine_payload(aff: AffineChannel) -> dict:
 def _cmd_pe(args) -> int:
     specs, file_p1, digest = _load_file(args.file)
     priors = _priors(file_p1, args.p1)
-    for spec in specs:
-        if spec.dim > 2:
-            print(f"error: channel dimension {spec.dim} not supported by pe", file=sys.stderr)
-            return EXIT_DIMENSION
+    _require_qubits(specs, "pe")
     affines = [spec.to_affine() for spec in specs]
     result = min_error_probability(affines[0], affines[1], priors)
     _emit(_report("pe", digest, {
@@ -279,11 +281,7 @@ def _cmd_perfect(args) -> int:
 def _cmd_oracle(args) -> int:
     specs, file_p1, digest = _load_file(args.file)
     priors = _priors(file_p1, args.p1)
-    for spec in specs:
-        if spec.dim != 2:
-            print(f"error: oracle sampling requires qubit channels, got dimension {spec.dim}",
-                  file=sys.stderr)
-            return EXIT_DIMENSION
+    _require_qubits(specs, "oracle")
     e1, e2 = specs[0].to_kraus(), specs[1].to_kraus()
     estimate = sampled_min_error(e1, e2, priors, args.n, args.entangled, args.seed)
     body = {
@@ -305,11 +303,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_simulate(args) -> int:
     specs, file_p1, digest = _load_file(args.file)
     priors = _priors(file_p1, args.p1)
-    for spec in specs:
-        if spec.dim != 2:
-            print(f"error: simulation requires qubit channels, got dimension {spec.dim}",
-                  file=sys.stderr)
-            return EXIT_DIMENSION
+    _require_qubits(specs, "simulate")
     analytic = min_error_probability(specs[0].to_affine(), specs[1].to_affine(), priors)
     if args.input == "optimal":
         if analytic.regime == REGIME_GUESS_PRIOR:
@@ -329,16 +323,14 @@ def _cmd_simulate(args) -> int:
             print("error: --input Bloch vector must be a unit 3-vector (a pure probe state)",
                   file=sys.stderr)
             return EXIT_INPUT
-    theta = float(np.arccos(np.clip(bloch[2], -1.0, 1.0)))
-    phi = float(np.arctan2(bloch[1], bloch[0]))
-    psi = np.array([np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * phi)])
-
+    psi = bloch_to_ket(bloch)
     e1, e2 = specs[0].to_kraus(), specs[1].to_kraus()
     empirical = simulate_experiment(e1, e2, priors, psi, args.trials, args.seed)
     reference = helstrom_error_at(e1, e2, priors, psi)
     sigma = np.sqrt(max(reference * (1.0 - reference), 0.0) / args.trials)
+    # A deterministic outcome (sigma 0) that the sample missed has no finite z-score.
     z_score = 0.0 if sigma == 0.0 and empirical == reference else (
-        float("inf") if sigma == 0.0 else (empirical - reference) / sigma)
+        None if sigma == 0.0 else (empirical - reference) / sigma)
     _emit(_report("simulate", digest, {
         "p1": priors.p1,
         "p2": priors.p2,
@@ -356,11 +348,7 @@ def _cmd_convert(args) -> int:
     if len(specs) not in (1, 2):
         print(f"error: expected one or two channels, got {len(specs)}", file=sys.stderr)
         return EXIT_INPUT
-    for spec in specs:
-        if spec.dim > 2:
-            print(f"error: affine conversion requires qubit channels, got dimension {spec.dim}",
-                  file=sys.stderr)
-            return EXIT_DIMENSION
+    _require_qubits(specs, "convert")
     report = _report("convert", digest, {
         "channels": [_affine_payload(spec.to_affine()) for spec in specs],
     })
@@ -368,6 +356,16 @@ def _cmd_convert(args) -> int:
         report["p1"] = file_p1
     _emit(report, args.pretty)
     return EXIT_OK
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -393,18 +391,18 @@ def _build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--strategy", choices=(STRATEGY_PRODUCT, STRATEGY_ENTANGLED),
                       default=STRATEGY_PRODUCT)
     perf.add_argument("--seed", type=int, default=0)
-    perf.add_argument("--restarts", type=int, default=16)
+    perf.add_argument("--restarts", type=_positive_int, default=16)
 
     orc = add("oracle", _cmd_oracle, "sampled brute-force error estimate")
     orc.add_argument("--p1", type=float, default=None)
-    orc.add_argument("--n", type=int, default=10000, help="number of Haar samples")
+    orc.add_argument("--n", type=_positive_int, default=10000, help="number of Haar samples")
     orc.add_argument("--entangled", action="store_true")
     orc.add_argument("--seed", type=int, default=0)
 
     sim = add("simulate", _cmd_simulate, "Monte Carlo check of the Helstrom measurement")
     sim.add_argument("--p1", type=float, default=None)
     sim.add_argument("--input", default="optimal", help="'optimal' or a Bloch triple 'x,y,z'")
-    sim.add_argument("--trials", type=int, default=100000)
+    sim.add_argument("--trials", type=_positive_int, default=100000)
     sim.add_argument("--seed", type=int, default=0)
 
     add("convert", _cmd_convert, "emit the affine Bloch form (M, c) of each channel")

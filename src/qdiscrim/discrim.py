@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import AffineChannel
-from .errors import InvalidDistribution, NotUnital
-from .linalg import hermitian_eig, require_finite, spectral_norm
+from .linalg import require_distribution, require_finite
 from .sphereopt import maximize_on_sphere
 
 REGIME_GUESS_PRIOR = "guess_prior"
@@ -35,11 +34,7 @@ class PriorPair:
     p2: float
 
     def __post_init__(self):
-        require_finite(np.array([self.p1, self.p2], dtype=float), "priors (p1, p2)")
-        if self.p1 < 0.0 or self.p2 < 0.0:
-            raise InvalidDistribution("priors must be nonnegative")
-        if abs(self.p1 + self.p2 - 1.0) > 1e-12:
-            raise InvalidDistribution(f"priors sum to {self.p1 + self.p2}, expected 1")
+        require_distribution([self.p1, self.p2], 2, "priors (p1, p2)")
 
     @classmethod
     def from_p1(cls, p1: float) -> "PriorPair":
@@ -66,19 +61,12 @@ def helstrom_trace_norm(r1, r2, priors: PriorPair) -> float:
     Equals max{|p1 - p2|, ||p1 r1 - p2 r2||}; the Bloch form avoids any
     eigenvalue computation.
     """
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
+    r1 = require_finite(np.asarray(r1, dtype=float), "Bloch vector r1")
+    r2 = require_finite(np.asarray(r2, dtype=float), "Bloch vector r2")
     for r in (r1, r2):
         if r.shape != (3,) or np.linalg.norm(r) > 1.0 + 1e-12:
             raise ValueError("Bloch vectors must be real 3-vectors inside the unit ball")
     return max(priors.bias, float(np.linalg.norm(priors.p1 * r1 - priors.p2 * r2)))
-
-
-def max_abs_identity(a: float, b: float) -> float:
-    """(|a+b| + |a-b|) / 2, which equals max{|a|, |b|} for real a, b."""
-    value = (abs(a + b) + abs(a - b)) / 2.0
-    assert abs(value - max(abs(a), abs(b))) <= 1e-12 * max(1.0, abs(a), abs(b))
-    return value
 
 
 def _verdict(bias: float, reach: float, priors: PriorPair,
@@ -108,36 +96,6 @@ def min_error_probability(e1: AffineChannel, e2: AffineChannel,
     return _verdict(priors.bias, best.value, priors, best.argmax)
 
 
-def _unital_matrix(channel) -> np.ndarray:
-    if isinstance(channel, AffineChannel):
-        if float(np.max(np.abs(channel.c))) > 1e-12:
-            raise NotUnital(f"channel shifts the Bloch ball by {channel.c}")
-        return channel.m
-    m = np.asarray(channel, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix or AffineChannel, got shape {m.shape}")
-    return m
-
-
-def min_error_unital(m1, m2, priors: PriorPair) -> DiscriminationResult:
-    """Specialization for unital channels (c = 0): a spectral norm suffices."""
-    diff = priors.p1 * _unital_matrix(m1) - priors.p2 * _unital_matrix(m2)
-    reach = spectral_norm(diff)
-    top = hermitian_eig(diff.T @ diff).eigenvectors[:, 0].real
-    return _verdict(priors.bias, reach, priors, top)
-
-
-def _check_pauli_distribution(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    if q.shape != (4,):
-        raise InvalidDistribution(f"expected 4 probabilities, got shape {q.shape}")
-    if np.any(q < 0.0):
-        raise InvalidDistribution("probabilities must be nonnegative")
-    if abs(float(np.sum(q)) - 1.0) > 1e-12:
-        raise InvalidDistribution(f"probabilities sum to {float(np.sum(q))}, expected 1")
-    return q
-
-
 def pauli_closed_form(q1, q2, priors: PriorPair) -> DiscriminationResult:
     """Closed form for two Pauli channels.
 
@@ -146,8 +104,8 @@ def pauli_closed_form(q1, q2, priors: PriorPair) -> DiscriminationResult:
     norm is the largest |entry| and the optimal probe is the matching
     coordinate axis (first of x, y, z on ties).
     """
-    q1 = _check_pauli_distribution(q1)
-    q2 = _check_pauli_distribution(q2)
+    q1 = require_distribution(q1, 4, "probabilities q1")
+    q2 = require_distribution(q2, 4, "probabilities q2")
     r = priors.p1 * q1 - priors.p2 * q2
     entries = np.array([
         r[0] + r[1] - r[2] - r[3],
@@ -175,8 +133,8 @@ def pauli_sacchi_form(q1, q2, priors: PriorPair) -> float:
     (|a+b|+|a-b|)/2 = max{|a|,|b|} and p1 - p2 = r0+r1+r2+r3, this is
     identical to the closed form above; the tests check the agreement.
     """
-    q1 = _check_pauli_distribution(q1)
-    q2 = _check_pauli_distribution(q2)
+    q1 = require_distribution(q1, 4, "probabilities q1")
+    q2 = require_distribution(q2, 4, "probabilities q2")
     r = priors.p1 * q1 - priors.p2 * q2
     m_value = max(
         abs(r[0] + r[3]) + abs(r[1] + r[2]),

@@ -17,10 +17,6 @@ class NotUnitary(QdiscrimError):
     """Matrix is not unitary within tolerance."""
 
 
-class NotUnital(QdiscrimError):
-    """Channel has a nonzero Bloch offset where a unital map is required."""
-
-
 class NotNormalized(QdiscrimError):
     """State vector does not have unit norm."""
 

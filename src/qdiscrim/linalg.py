@@ -12,9 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotFinite, NotHermitian
+from .errors import InvalidDistribution, NotFinite, NotHermitian, NotUnitary
 
 HERMITIAN_TOL = 1e-9
+UNITARY_TOL = 1e-9
+DISTRIBUTION_SUM_TOL = 1e-12
 
 _PHASE_TOL = 1e-12
 _HULL_DIST_TOL = 1e-10
@@ -56,6 +58,33 @@ def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
+def require_distribution(q, size: int, what: str) -> np.ndarray:
+    """Return q as a float array, or raise if it is not a probability vector.
+
+    Checks, in this order: shape (size,) (InvalidDistribution), finite
+    entries (NotFinite), nonnegative entries and a sum within 1e-12 of 1
+    (both InvalidDistribution).
+    """
+    q = np.asarray(q, dtype=float)
+    if q.shape != (size,):
+        raise InvalidDistribution(f"expected {size} {what}, got shape {q.shape}")
+    require_finite(q, what)
+    if np.any(q < 0.0):
+        raise InvalidDistribution(f"{what} must be nonnegative")
+    total = float(np.sum(q))
+    if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
+        raise InvalidDistribution(f"{what} sum to {total}, expected 1")
+    return q
+
+
+def require_unitary(u: np.ndarray, what: str) -> np.ndarray:
+    """Return the square matrix u unchanged, or raise NotUnitary."""
+    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    if defect > UNITARY_TOL:
+        raise NotUnitary(f"{what} deviates from unitary by {defect:.3e}")
+    return u
+
+
 def hermitian_eig(a) -> EigenResult:
     """Eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
 
@@ -82,14 +111,6 @@ def hermitian_eig(a) -> EigenResult:
 def trace_norm_hermitian(a) -> float:
     """Trace norm of a Hermitian matrix: sum of |eigenvalues|."""
     return float(np.sum(np.abs(hermitian_eig(a).eigenvalues)))
-
-
-def spectral_norm(m) -> float:
-    """Largest singular value of a real matrix, via the top eigenvalue of m^T m."""
-    m = np.asarray(m, dtype=float)
-    gram = m.T @ m
-    top = hermitian_eig(gram).eigenvalues[0]
-    return float(np.sqrt(max(top, 0.0)))
 
 
 def _dedup_points(xy: np.ndarray) -> np.ndarray:

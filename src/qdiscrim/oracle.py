@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel
+from .channels import KrausChannel, maximally_entangled
 from .discrim import PriorPair
 from .errors import DimensionMismatch, NotNormalized
 from .linalg import trace_norm_hermitian
@@ -109,9 +109,7 @@ def _deterministic_extras(dim: int, entangled: bool) -> np.ndarray:
     ancilla = np.zeros(dim, dtype=complex)
     ancilla[0] = 1.0
     embedded = np.stack([np.kron(psi, ancilla) for psi in single])
-    maxent = np.zeros(dim * dim, dtype=complex)
-    maxent[np.arange(dim) * dim + np.arange(dim)] = 1.0 / np.sqrt(dim)
-    return np.vstack([maxent[None, :], embedded])
+    return np.vstack([maximally_entangled(dim)[None, :], embedded])
 
 
 def _haar_states(n: int, dim: int, seed: int) -> np.ndarray:

@@ -15,9 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import GpcChannel, KrausChannel, PAULIS, characteristic_vector
-from .errors import BasisMismatch, DimensionMismatch, NotUnitary
-from .linalg import as_complex_matrix, hermitian_eig, hull_contains_origin
+from .channels import (
+    GpcChannel,
+    KrausChannel,
+    PAULIS,
+    bloch_to_ket,
+    characteristic_vector,
+    maximally_entangled,
+)
+from .errors import BasisMismatch, DimensionMismatch
+from .linalg import as_complex_matrix, hermitian_eig, hull_contains_origin, require_unitary
 
 YES = "yes"
 NO = "no"
@@ -55,13 +62,6 @@ def _fix_phase(psi: np.ndarray) -> np.ndarray:
     psi = psi / np.linalg.norm(psi)
     pivot = psi[int(np.argmax(np.abs(psi)))]
     return psi * (np.conj(pivot) / abs(pivot))
-
-
-def maximally_entangled(d: int) -> np.ndarray:
-    """The state sum_k |k>|k> / sqrt(d) as a d^2 vector."""
-    psi = np.zeros(d * d, dtype=complex)
-    psi[np.arange(d) * d + np.arange(d)] = 1.0 / np.sqrt(d)
-    return psi
 
 
 def cross_operators(e1: KrausChannel, e2: KrausChannel) -> list[np.ndarray]:
@@ -151,9 +151,7 @@ def unitary_perfect(u1, u2) -> PerfectVerdict:
     if u1.shape != u2.shape:
         raise DimensionMismatch(f"unitary dimensions differ: {u1.shape[0]} vs {u2.shape[0]}")
     for u in (u1, u2):
-        defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-        if defect > 1e-9:
-            raise NotUnitary(f"matrix deviates from unitary by {defect:.3e}")
+        require_unitary(u, "matrix")
     w = u1.conj().T @ u2
     mus, vecs = _normal_eigensystem(w)
     if not hull_contains_origin(mus):
@@ -166,12 +164,6 @@ def unitary_perfect(u1, u2) -> PerfectVerdict:
     for idx, weight in zip(indices, weights):
         psi += np.sqrt(weight) * vecs[:, idx]
     return PerfectVerdict(YES, STRATEGY_PRODUCT, _fix_phase(psi), METHOD_UNITARY_POLYGON)
-
-
-def _state_from_bloch(r: np.ndarray) -> np.ndarray:
-    theta = np.arccos(np.clip(r[2], -1.0, 1.0))
-    phi = np.arctan2(r[1], r[0])
-    return np.array([np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * phi)])
 
 
 def qubit_product_perfect(e1: KrausChannel, e2: KrausChannel) -> PerfectVerdict:
@@ -220,7 +212,7 @@ def qubit_product_perfect(e1: KrausChannel, e2: KrausChannel) -> PerfectVerdict:
         spare = np.sqrt(max(0.0, 1.0 - base_norm * base_norm))
         r = r0 + spare * right[null_dims[0]]
         r = r / np.linalg.norm(r)
-    psi = _fix_phase(_state_from_bloch(r))
+    psi = _fix_phase(bloch_to_ket(r))
     return PerfectVerdict(YES, STRATEGY_PRODUCT, psi, METHOD_QUBIT_BLOCH)
 
 
@@ -242,27 +234,34 @@ def gpc_perfect_entangled(g1: GpcChannel, g2: GpcChannel) -> PerfectVerdict:
     return PerfectVerdict(NO, STRATEGY_ENTANGLED, None, METHOD_GPC_ORTHOGONALITY)
 
 
-def _loss_and_grad(stack: np.ndarray, psi: np.ndarray) -> tuple[float, np.ndarray]:
+def _expectations(stack: np.ndarray, psi: np.ndarray
+                  ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """<psi|K_m|psi>, the loss sum |<psi|K_m|psi>|^2, K_m psi and K_m^dag psi."""
     expectations = np.einsum("i,mij,j->m", psi.conj(), stack, psi)
     loss = float(np.sum(np.abs(expectations) ** 2))
     forward = stack @ psi
     backward = np.einsum("mji,j->mi", stack.conj(), psi)
+    return expectations, loss, forward, backward
+
+
+def _loss_and_grad(stack: np.ndarray, psi: np.ndarray) -> tuple[float, np.ndarray]:
+    expectations, loss, forward, backward = _expectations(stack, psi)
     grad = (expectations.conj()[:, None] * forward + expectations[:, None] * backward).sum(axis=0)
     return loss, grad
 
 
 def _gauss_newton_polish(stack: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, float]:
-    """Gauss-Newton steps on the residuals (Re, Im of each expectation)."""
+    """Gauss-Newton steps on the residuals (Re, Im of each expectation).
+
+    Returns the final iterate if it improved on the start, else the start.
+    """
     dim = psi.size
-    best = psi
-    best_loss, _ = _loss_and_grad(stack, psi)
+    start = psi
+    expectations, loss, forward, backward = _expectations(stack, psi)
+    start_loss = loss
     for _ in range(12):
-        expectations = np.einsum("i,mij,j->m", psi.conj(), stack, psi)
-        loss = float(np.sum(np.abs(expectations) ** 2))
         if loss < _LOSS_SUCCESS * 1e-4:
             break
-        forward = stack @ psi
-        backward = np.einsum("mji,j->mi", stack.conj(), psi)
         plus = backward.conj() + forward
         minus = backward.conj() - forward
         jac = np.block([[plus.real, -minus.imag], [plus.imag, minus.real]])
@@ -273,10 +272,10 @@ def _gauss_newton_polish(stack: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray
         if not np.isfinite(norm) or norm < 1e-300:
             break
         psi = cand / norm
-    loss, _ = _loss_and_grad(stack, psi)
-    if loss < best_loss:
-        best, best_loss = psi, loss
-    return best, best_loss
+        expectations, loss, forward, backward = _expectations(stack, psi)
+    if loss < start_loss:
+        return psi, loss
+    return start, start_loss
 
 
 def _descend(stack: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, float]:

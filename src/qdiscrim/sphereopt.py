@@ -46,7 +46,8 @@ class SphereMaxResult:
     hard_case: bool
 
 
-def _coerce(m, c) -> tuple[np.ndarray, np.ndarray]:
+def coerce_affine(m, c) -> tuple[np.ndarray, np.ndarray]:
+    """m as a float 3x3 matrix and c as a float 3-vector (zeros when c is None)."""
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
@@ -102,7 +103,7 @@ def maximize_on_sphere(m, c=None) -> SphereMaxResult:
     deterministic sign convention: whenever both signs achieve the
     maximum, the first component of magnitude > 1e-12 is made positive.
     """
-    m, c = _coerce(m, c)
+    m, c = coerce_affine(m, c)
     gram = m.T @ m
     eig = hermitian_eig(gram)
     d = eig.eigenvalues
@@ -149,7 +150,7 @@ def grid_oracle(m, c=None, n: int = 10000) -> float:
     projected-gradient ascent steps (adaptive step, backtracking), which
     keeps the whole procedure deterministic for fixed n.
     """
-    m, c = _coerce(m, c)
+    m, c = coerce_affine(m, c)
     if n < 100:
         raise ValueError("grid oracle needs n >= 100 sample points")
     pts = fibonacci_sphere(n)

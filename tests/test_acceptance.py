@@ -15,6 +15,7 @@ from conftest import random_kraus_channel
 from qdiscrim.channels import (
     KrausChannel,
     PAULI_I,
+    bloch_to_ket,
     gpc_channel,
     gpc_to_kraus,
     kraus_to_affine,
@@ -218,10 +219,7 @@ def test_criterion_8_monte_carlo_closure():
         result = min_error_probability(kraus_to_affine(e1), kraus_to_affine(e2), HALF)
         if result.regime != REGIME_MEASURE:
             continue
-        r = result.optimal_bloch
-        theta = np.arccos(np.clip(r[2], -1.0, 1.0))
-        phi = np.arctan2(r[1], r[0])
-        psi = np.array([np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * phi)])
+        psi = bloch_to_ket(result.optimal_bloch)
         reference = helstrom_error_at(e1, e2, HALF, psi)
         frequency = simulate_experiment(e1, e2, HALF, psi, 100000, seed=checked)
         sigma = np.sqrt(max(reference * (1.0 - reference), 0.0) / 100000)

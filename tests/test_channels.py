@@ -32,6 +32,7 @@ from qdiscrim.errors import (
     InvalidDistribution,
     NotFinite,
     NotTracePreserving,
+    NotUnitary,
     ParamOutOfRange,
     UnknownName,
     UnsupportedDimension,
@@ -231,6 +232,8 @@ def test_gpc_channel_validation():
         gpc_channel(2, [0.5, 0.1, 0.1, 0.1])
     with pytest.raises(BasisNotOrthogonal):
         GpcChannel(2, [0.25] * 4, [PAULI_I, PAULI_I, PAULI_X, PAULI_Y])
+    with pytest.raises(NotUnitary):
+        GpcChannel(2, [0.25] * 4, [PAULI_I, PAULI_X, PAULI_Y, 2.0 * PAULI_Z])
 
 
 def test_characteristic_vector_examples():

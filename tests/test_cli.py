@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qdiscrim import cli
 from qdiscrim.cli import EXIT_DIMENSION, EXIT_INPUT, EXIT_OK, EXIT_SEMANTIC, main
 
 
@@ -15,10 +16,14 @@ def write_spec(tmp_path, channels, p1=None, name="channels.json"):
     return str(path)
 
 
+def _reject_constant(token):
+    raise ValueError(f"stdout is not strict JSON: {token}")
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
-    return code, (json.loads(out) if out.strip() else None)
+    return code, (json.loads(out, parse_constant=_reject_constant) if out.strip() else None)
 
 
 NAMED_DEP1 = {"kind": "named", "name": "depolarizing", "param": 1.0}
@@ -172,6 +177,23 @@ def test_simulate_explicit_bloch_input(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+def test_simulate_z_score_is_null_when_sigma_is_zero(tmp_path, capsys, monkeypatch):
+    # |0> through the identity and through sigma_x gives orthogonal outputs,
+    # so the Helstrom error is exactly 0 and its spread sigma is 0.
+    sigma_x = {"kind": "named", "name": "bit_flip", "param": 0.0}
+    path = write_spec(tmp_path, [NAMED_IDENT, sigma_x])
+    argv = ["simulate", path, "--input", "0,0,1", "--trials", "100"]
+    code, report = run(capsys, argv)
+    assert code == EXIT_OK
+    assert report["analytic_error"] == 0.0
+    assert report["z_score"] == 0.0
+    monkeypatch.setattr(cli, "simulate_experiment", lambda *args: 0.5)
+    code, report = run(capsys, argv)
+    assert code == EXIT_OK
+    assert report["empirical_error"] == 0.5
+    assert report["z_score"] is None
+
+
 def test_simulate_guess_prior_is_semantic_misuse(tmp_path, capsys):
     path = write_spec(tmp_path, [NAMED_IDENT, NAMED_IDENT])
     code, _ = run(capsys, ["simulate", path, "--p1", "0.7"])
@@ -224,6 +246,36 @@ def test_invalid_spec_is_anchored(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_INPUT
     assert "channels[1]" in err
+    # JSON true is not a prior, and a fractional dimension is not truncated.
+    path = write_spec(tmp_path, [NAMED_IDENT, NAMED_DEP1], p1=True, name="bool_p1.json")
+    code = main(["pe", path])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert "bool_p1.json: 'p1'" in err
+    gpc = {"kind": "gpc", "d": 2.7, "q": [1.0, 0.0, 0.0, 0.0]}
+    path = write_spec(tmp_path, [NAMED_IDENT, gpc], name="float_d.json")
+    code = main(["convert", path])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert "channels[1]" in err and "'d'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--n", "0"],
+    ["oracle", "--n", "-5"],
+    ["simulate", "--trials", "0"],
+    ["simulate", "--trials", "ten"],
+    ["perfect", "--strategy", "product", "--restarts", "0"],
+])
+def test_count_flags_take_positive_integers(tmp_path, capsys, argv):
+    gpc3 = {"kind": "gpc", "d": 3, "q": [1.0] + [0.0] * 8}
+    path = write_spec(tmp_path, [gpc3, gpc3])
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], path, *argv[1:]])
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_INPUT
+    assert captured.out == ""
+    assert "positive integer" in captured.err
 
 
 @pytest.mark.parametrize("channel", [

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qdiscrim.errors import NotFinite, NotHermitian
+from qdiscrim.errors import InvalidDistribution, NotFinite, NotHermitian
 from qdiscrim.linalg import (
     hermitian_eig,
     hermiticity_defect,
     hull_contains_origin,
-    spectral_norm,
+    require_distribution,
     trace_norm_hermitian,
 )
 
@@ -102,6 +102,19 @@ def test_eig_rejects_non_finite():
             hermitian_eig(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
+def test_require_distribution_checks_in_order():
+    np.testing.assert_array_equal(require_distribution([0.25, 0.75], 2, "q"), [0.25, 0.75])
+    # Shape comes first, then finiteness, then sign and sum.
+    with pytest.raises(InvalidDistribution, match="expected 3 q"):
+        require_distribution([np.nan, -1.0], 3, "q")
+    with pytest.raises(NotFinite):
+        require_distribution([np.nan, -1.0], 2, "q")
+    with pytest.raises(InvalidDistribution, match="nonnegative"):
+        require_distribution([-0.5, 1.5], 2, "q")
+    with pytest.raises(InvalidDistribution, match="sum to"):
+        require_distribution([0.5, 0.5 + 1e-11], 2, "q")
+
+
 def test_trace_norm_trivial_cases():
     assert trace_norm_hermitian(np.zeros((2, 2))) == 0.0
     assert trace_norm_hermitian(np.diag([0.5, -0.5])) == pytest.approx(1.0)
@@ -122,37 +135,6 @@ def test_trace_norm_equals_singular_values(rng):
         h = (z + z.conj().T) / 2.0
         singulars = np.sqrt(np.linalg.eigvalsh(h.conj().T @ h))
         assert abs(trace_norm_hermitian(h) - singulars.sum()) < 1e-9
-
-
-def power_iteration_norm(m, steps=200):
-    """Independent oracle for the spectral norm."""
-    x = np.ones(m.shape[1]) / np.sqrt(m.shape[1])
-    for _ in range(steps):
-        y = m.T @ (m @ x)
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return 0.0
-        x = y / norm
-    return float(np.linalg.norm(m @ x))
-
-
-def test_spectral_norm_examples():
-    assert spectral_norm(np.eye(3)) == pytest.approx(1.0)
-    assert spectral_norm(np.diag([2.0, 1.0, 0.5])) == pytest.approx(2.0)
-    ones = np.ones((3, 3))
-    assert spectral_norm(ones) == pytest.approx(3.0, abs=1e-12)
-    assert spectral_norm(ones) == pytest.approx(power_iteration_norm(ones), abs=1e-9)
-
-
-def test_spectral_norm_bounds_and_attainment(rng):
-    for _ in range(20):
-        m = rng.standard_normal((3, 3))
-        value = spectral_norm(m)
-        directions = rng.standard_normal((1000, 3))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        assert value >= np.linalg.norm(directions @ m.T, axis=1).max() - 1e-9
-        top = np.linalg.eigh(m.T @ m)[1][:, -1]
-        assert abs(np.linalg.norm(m @ top) - value) < 1e-9
 
 
 def convex_grid_hits_origin(points, steps=400):

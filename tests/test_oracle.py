@@ -5,6 +5,7 @@ from qdiscrim.channels import (
     KrausChannel,
     PAULI_I,
     PAULI_X,
+    bloch_to_ket,
     gpc_to_kraus,
     kraus_to_affine,
     named_channel,
@@ -28,12 +29,6 @@ from qdiscrim.oracle import (
 HALF = PriorPair(0.5, 0.5)
 IDENT = KrausChannel([PAULI_I])
 FLIP = KrausChannel([PAULI_X])
-
-
-def _state_from_bloch(r):
-    theta = np.arccos(np.clip(r[2], -1.0, 1.0))
-    phi = np.arctan2(r[1], r[0])
-    return np.array([np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * phi)])
 
 
 def test_helstrom_error_at_examples():
@@ -152,7 +147,7 @@ def test_simulate_matches_helstrom_at_optimum(rng):
         res = min_error_probability(kraus_to_affine(e1), kraus_to_affine(e2), HALF)
         if res.regime != REGIME_MEASURE:
             continue
-        psi = _state_from_bloch(res.optimal_bloch)
+        psi = bloch_to_ket(res.optimal_bloch)
         reference = helstrom_error_at(e1, e2, HALF, psi)
         assert reference == pytest.approx(res.p_error, abs=1e-9)
         freq = simulate_experiment(e1, e2, HALF, psi, 100000, checked)

@@ -9,6 +9,7 @@ from qdiscrim.channels import (
     PAULI_Z,
     gpc_channel,
     gpc_to_kraus,
+    maximally_entangled,
     pauli_channel,
 )
 from qdiscrim.discrim import PriorPair
@@ -24,7 +25,6 @@ from qdiscrim.perfect import (
     YES,
     cross_operators,
     gpc_perfect_entangled,
-    maximally_entangled,
     numeric_isotropic_search,
     qubit_product_perfect,
     unitary_perfect,

@@ -12,12 +12,18 @@ def test_fibonacci_sphere_points_are_unit():
     np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
 
 
-def test_pure_spectral_norm_case():
+def test_pure_operator_norm_case():
+    # With c = 0 (a unital pair) the maximum is the largest singular value of m.
     res = maximize_on_sphere(np.diag([2.0, 1.0, 1.0]))
     assert res.value == pytest.approx(2.0, abs=1e-12)
     np.testing.assert_allclose(res.argmax, [1.0, 0.0, 0.0], atol=1e-12)
     assert res.multiplier == pytest.approx(4.0, abs=1e-10)
     assert res.hard_case
+    for m, expected in ((np.eye(3), 1.0), (np.diag([2.0, 1.0, 0.5]), 2.0), (np.ones((3, 3)), 3.0)):
+        res = maximize_on_sphere(m, np.zeros(3))
+        assert res.value == pytest.approx(expected, abs=1e-12)
+        assert res.value == pytest.approx(np.linalg.norm(m, 2), abs=1e-12)
+        assert abs(np.linalg.norm(m @ res.argmax) - res.value) < 1e-12
 
 
 def test_zero_matrix_offset_only():
