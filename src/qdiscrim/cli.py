@@ -141,6 +141,8 @@ def _parse_spec(raw, where: str) -> ChannelSpec:
         if kind == "unitary":
             return ChannelSpec(kind, unitary=_parse_complex_matrix(raw.get("matrix"), where))
         return ChannelSpec(kind, affine=AffineChannel(raw.get("m"), raw.get("c")))
+    except UnsupportedDimension as exc:
+        raise UnsupportedDimension(f"{where}: {exc}") from None
     except QdiscrimError as exc:
         raise CliInputError(f"{where}: {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import AffineChannel
-from .linalg import require_distribution, require_finite
+from .channels import AffineChannel, as_bloch
+from .linalg import require_distribution
 from .sphereopt import maximize_on_sphere
 
 REGIME_GUESS_PRIOR = "guess_prior"
@@ -61,11 +61,7 @@ def helstrom_trace_norm(r1, r2, priors: PriorPair) -> float:
     Equals max{|p1 - p2|, ||p1 r1 - p2 r2||}; the Bloch form avoids any
     eigenvalue computation.
     """
-    r1 = require_finite(np.asarray(r1, dtype=float), "Bloch vector r1")
-    r2 = require_finite(np.asarray(r2, dtype=float), "Bloch vector r2")
-    for r in (r1, r2):
-        if r.shape != (3,) or np.linalg.norm(r) > 1.0 + 1e-12:
-            raise ValueError("Bloch vectors must be real 3-vectors inside the unit ball")
+    r1, r2 = as_bloch(r1), as_bloch(r2)
     return max(priors.bias, float(np.linalg.norm(priors.p1 * r1 - priors.p2 * r2)))
 
 

@@ -20,7 +20,6 @@ DISTRIBUTION_SUM_TOL = 1e-12
 
 _PHASE_TOL = 1e-12
 _HULL_DIST_TOL = 1e-10
-_HULL_DEDUP_TOL = 1e-12
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -113,65 +112,65 @@ def trace_norm_hermitian(a) -> float:
     return float(np.sum(np.abs(hermitian_eig(a).eigenvalues)))
 
 
-def _dedup_points(xy: np.ndarray) -> np.ndarray:
-    kept: list[np.ndarray] = []
-    for point in xy:
-        if not any(np.hypot(*(point - other)) < _HULL_DEDUP_TOL for other in kept):
-            kept.append(point)
-    return np.array(kept)
+def _nearest_on_segment(pts: np.ndarray, i: int, j: int) -> tuple[list[int], np.ndarray]:
+    """Indices (i, j) and the convex weights of the point of [p_i, p_j] nearest to 0.
+
+    For an antipodal pair the weights are |p_j|/(|p_i|+|p_j|) and
+    |p_i|/(|p_i|+|p_j|), which sum the pair to 0.
+    """
+    p, seg = pts[i], pts[j] - pts[i]
+    seg_len2 = abs(seg) ** 2
+    t = 0.0 if seg_len2 == 0.0 else min(1.0, max(0.0, -(p.conjugate() * seg).real / seg_len2))
+    return [i, j], np.array([1.0 - t, t])
 
 
-def _monotone_chain(xy: np.ndarray) -> np.ndarray:
-    pts = sorted(map(tuple, xy))
-
-    def turn(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[tuple] = []
-    for point in pts:
-        while len(lower) >= 2 and turn(lower[-2], lower[-1], point) <= 0:
-            lower.pop()
-        lower.append(point)
-    upper: list[tuple] = []
-    for point in reversed(pts):
-        while len(upper) >= 2 and turn(upper[-2], upper[-1], point) <= 0:
-            upper.pop()
-        upper.append(point)
-    return np.array(lower[:-1] + upper[:-1])
+def _residual(pts: np.ndarray, choice: tuple[list[int], np.ndarray]) -> float:
+    indices, weights = choice
+    return float(abs(weights @ pts[indices]))
 
 
-def _point_segment_distance(a: np.ndarray, b: np.ndarray) -> float:
-    seg = b - a
-    seg_len2 = seg @ seg
-    if seg_len2 == 0.0:
-        return float(np.hypot(*a))
-    t = min(1.0, max(0.0, -(a @ seg) / seg_len2))
-    return float(np.hypot(*(a + t * seg)))
+def hull_origin_weights(points) -> tuple[list[int], np.ndarray] | None:
+    """Convex weights on at most three of the points that sum to 0, or None.
+
+    0 lies outside the convex hull exactly when the arguments of the
+    points leave a gap wider than pi.  The hull still counts as holding 0
+    when it passes within 1e-10 of it: through a point, or through the
+    segment between two points that comes nearest.  Otherwise 0 lies in
+    the triangle of the first point by argument and the two points whose
+    arguments bracket its antipode, and the weights are the
+    lowest-residual choice among that triangle and its edges.  Returns
+    (indices, weights) with distinct indices, or None when 0 is outside.
+    """
+    pts = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
+    if pts.size == 0:
+        raise ValueError("need at least one point")
+    nearest = int(np.argmin(np.abs(pts)))
+    if abs(pts[nearest]) <= _HULL_DIST_TOL:
+        return [nearest], np.ones(1)
+    angles = np.angle(pts)
+    order = np.argsort(angles, kind="stable")
+    gaps = np.diff(angles[order], append=angles[order[0]] + 2.0 * np.pi)
+    if gaps.max() > np.pi:
+        edges = [_nearest_on_segment(pts, i, j)
+                 for i in range(pts.size) for j in range(i + 1, pts.size)]
+        best = min(edges, key=lambda edge: _residual(pts, edge), default=None)
+        return best if best is not None and _residual(pts, best) <= _HULL_DIST_TOL else None
+    # The last point at most pi past the first one, and the next, with wrap-around.
+    above = int(np.searchsorted(angles[order], angles[order[0]] + np.pi, side="right"))
+    a, b, c = int(order[0]), int(order[above - 1]), int(order[above % pts.size])
+    choices = [_nearest_on_segment(pts, i, j) for i, j in ((a, b), (b, c), (c, a)) if i != j]
+    if len({a, b, c}) == 3:
+        # Barycentric weights from the signed areas of the triangles with corner 0.
+        areas = np.array([(pts[j].conjugate() * pts[k]).imag
+                          for j, k in ((b, c), (c, a), (a, b))]).clip(0.0)
+        if areas.sum() > 0.0:
+            choices.append(([a, b, c], areas / areas.sum()))
+    return min(choices, key=lambda choice: _residual(pts, choice))
 
 
 def hull_contains_origin(points) -> bool:
     """True iff 0 lies in the convex hull of the given complex points.
 
-    Boundary counts as contained, with tolerance 1e-10 on signed
-    distances to the hull edges.
+    The boolean form of hull_origin_weights, with the same 1e-10 tolerance.
     """
-    pts = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
-    if pts.size == 0:
-        raise ValueError("need at least one point")
-    xy = _dedup_points(np.column_stack([pts.real, pts.imag]))
-    if len(xy) == 1:
-        return float(np.hypot(*xy[0])) <= _HULL_DIST_TOL
-    hull = _monotone_chain(xy)
-    if len(hull) <= 2:
-        # Degenerate (collinear) hull: treat as the extreme segment.
-        lo = min(map(tuple, xy))
-        hi = max(map(tuple, xy))
-        return _point_segment_distance(np.array(lo), np.array(hi)) <= _HULL_DIST_TOL
-    for i in range(len(hull)):
-        a = hull[i]
-        b = hull[(i + 1) % len(hull)]
-        edge = b - a
-        cross = edge[0] * (-a[1]) - edge[1] * (-a[0])
-        if cross / np.hypot(*edge) < -_HULL_DIST_TOL:
-            return False
-    return True
+    return hull_origin_weights(points) is not None

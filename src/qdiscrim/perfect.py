@@ -24,7 +24,7 @@ from .channels import (
     maximally_entangled,
 )
 from .errors import BasisMismatch, DimensionMismatch
-from .linalg import as_complex_matrix, hermitian_eig, hull_contains_origin, require_unitary
+from .linalg import as_complex_matrix, hermitian_eig, hull_origin_weights, require_unitary
 
 YES = "yes"
 NO = "no"
@@ -99,46 +99,6 @@ def _normal_eigensystem(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigvals, vecs
 
 
-def _convex_zero_weights(mus: np.ndarray) -> tuple[list[int], list[float]] | None:
-    """Convex weights over 2 or 3 of the points summing to zero.
-
-    Scans pairs then triples and keeps the combination with the smallest
-    residual |sum t_k mu_k|; returns None if nothing reaches 1e-8.
-    """
-    n = len(mus)
-    best: tuple[float, list[int], list[float]] | None = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            denom = abs(mus[i]) + abs(mus[j])
-            if denom == 0.0:
-                continue
-            t = abs(mus[j]) / denom
-            residual = abs(t * mus[i] + (1.0 - t) * mus[j])
-            if best is None or residual < best[0]:
-                best = (residual, [i, j], [t, 1.0 - t])
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                mat = np.array([
-                    [mus[i].real - mus[k].real, mus[j].real - mus[k].real],
-                    [mus[i].imag - mus[k].imag, mus[j].imag - mus[k].imag],
-                ])
-                if abs(np.linalg.det(mat)) < 1e-14:
-                    continue
-                t12 = np.linalg.solve(mat, [-mus[k].real, -mus[k].imag])
-                weights = np.array([t12[0], t12[1], 1.0 - t12[0] - t12[1]])
-                if np.any(weights < -1e-10):
-                    continue
-                weights = np.clip(weights, 0.0, None)
-                weights /= weights.sum()
-                residual = abs(weights @ mus[[i, j, k]])
-                if best is None or residual < best[0]:
-                    best = (residual, [i, j, k], list(weights))
-    if best is None or best[0] > 1e-8:
-        return None
-    return best[1], best[2]
-
-
 def unitary_perfect(u1, u2) -> PerfectVerdict:
     """Polygon criterion for two unitaries.
 
@@ -154,11 +114,9 @@ def unitary_perfect(u1, u2) -> PerfectVerdict:
         require_unitary(u, "matrix")
     w = u1.conj().T @ u2
     mus, vecs = _normal_eigensystem(w)
-    if not hull_contains_origin(mus):
+    found = hull_origin_weights(mus)
+    if found is None:
         return PerfectVerdict(NO, STRATEGY_PRODUCT, None, METHOD_UNITARY_POLYGON)
-    found = _convex_zero_weights(mus)
-    if found is None:  # pragma: no cover - hull and weight search share tolerances
-        return PerfectVerdict(UNKNOWN, STRATEGY_PRODUCT, None, METHOD_UNITARY_POLYGON)
     indices, weights = found
     psi = np.zeros(u1.shape[0], dtype=complex)
     for idx, weight in zip(indices, weights):
@@ -244,16 +202,12 @@ def _expectations(stack: np.ndarray, psi: np.ndarray
     return expectations, loss, forward, backward
 
 
-def _loss_and_grad(stack: np.ndarray, psi: np.ndarray) -> tuple[float, np.ndarray]:
-    expectations, loss, forward, backward = _expectations(stack, psi)
-    grad = (expectations.conj()[:, None] * forward + expectations[:, None] * backward).sum(axis=0)
-    return loss, grad
+def _gauss_newton(stack: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, float]:
+    """At most 12 Gauss-Newton steps on the residuals (Re, Im of each expectation).
 
-
-def _gauss_newton_polish(stack: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, float]:
-    """Gauss-Newton steps on the residuals (Re, Im of each expectation).
-
-    Returns the final iterate if it improved on the start, else the start.
+    Each step solves the linearised residuals in the least-squares sense
+    and renormalises psi.  Returns the final iterate if it improved on
+    the start, else the start.
     """
     dim = psi.size
     start = psi
@@ -278,43 +232,13 @@ def _gauss_newton_polish(stack: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray
     return start, start_loss
 
 
-def _descend(stack: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, float]:
-    loss, grad = _loss_and_grad(stack, psi)
-    step = 0.5
-    stalled = 0
-    for _ in range(1500):
-        if loss < 1e-10:
-            break
-        trial = step
-        accepted = None
-        for _ in range(40):
-            cand = psi - trial * grad
-            norm_cand = float(np.linalg.norm(cand))
-            if norm_cand > 1e-300:
-                cand = cand / norm_cand
-                cand_loss, cand_grad = _loss_and_grad(stack, cand)
-                if cand_loss < loss:
-                    accepted = (cand, cand_loss, cand_grad, trial)
-                    break
-            trial /= 2.0
-        if accepted is None:
-            break
-        prev = loss
-        psi, loss, grad, used = accepted
-        step = used * 2.0
-        stalled = stalled + 1 if loss > prev * (1.0 - 1e-4) else 0
-        if stalled >= 30:
-            break
-    return psi, loss
-
-
 def numeric_isotropic_search(ops, entangled: bool, seed: int = 0,
                              restarts: int = 16) -> PerfectVerdict:
     """Seeded search for a joint isotropic vector of the given operators.
 
     Minimizes sum |<psi|K|psi>|^2 over unit psi (operators tensored with
-    the identity when entangled) by projected gradient descent with a
-    Gauss-Newton polish, from `restarts` independent seeded starts.
+    the identity when entangled) by Gauss-Newton iteration from each of
+    `restarts` independent seeded starts.
     Returns yes with a certificate when the loss drops below 1e-16 and
     unknown otherwise; it never returns no.
     """
@@ -332,9 +256,7 @@ def numeric_isotropic_search(ops, entangled: bool, seed: int = 0,
         raw = rng.standard_normal(2 * dim)
         psi = raw[0::2] + 1j * raw[1::2]
         psi = psi / np.linalg.norm(psi)
-        psi, loss = _descend(stack, psi)
-        if loss >= _LOSS_SUCCESS:
-            psi, loss = _gauss_newton_polish(stack, psi)
+        psi, loss = _gauss_newton(stack, psi)
         if loss < _LOSS_SUCCESS:
             return PerfectVerdict(YES, strategy, _fix_phase(psi), METHOD_NUMERIC_SEARCH)
     return PerfectVerdict(UNKNOWN, strategy, None, METHOD_NUMERIC_SEARCH)

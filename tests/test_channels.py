@@ -23,6 +23,7 @@ from qdiscrim.channels import (
     named_channel,
     pauli_channel,
     pauli_to_affine,
+    validate_density,
 )
 from qdiscrim.errors import (
     BasisNotOrthogonal,
@@ -31,6 +32,7 @@ from qdiscrim.errors import (
     DimensionMismatch,
     InvalidDistribution,
     NotFinite,
+    NotHermitian,
     NotTracePreserving,
     NotUnitary,
     ParamOutOfRange,
@@ -49,6 +51,22 @@ def test_bloch_to_density_poles_and_mixed():
 def test_bloch_to_density_rejects_long_vectors():
     with pytest.raises(ValueError):
         bloch_to_density([1.0, 1.0, 0.0])
+    # A NaN fails every norm test and would give an all-NaN matrix.
+    with pytest.raises(NotFinite):
+        bloch_to_density([np.nan, 0.0, 0.0])
+
+
+def test_validate_density_checks_in_order():
+    np.testing.assert_allclose(validate_density(np.eye(2) / 2.0), np.eye(2) / 2.0)
+    # Hermiticity is checked before the trace.
+    with pytest.raises(NotHermitian):
+        validate_density(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(NotFinite):
+        validate_density(np.diag([np.inf, 0.0]))
+    with pytest.raises(ValueError, match="trace"):
+        validate_density(np.eye(2))
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        validate_density(np.diag([1.5, -0.5]))
 
 
 def test_density_to_bloch_examples():

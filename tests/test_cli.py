@@ -74,6 +74,15 @@ def test_pe_rejects_qutrit_channels(tmp_path, capsys):
     assert code == EXIT_DIMENSION
 
 
+def test_gpc_dimension_without_basis_exits_3(tmp_path, capsys):
+    gpc5 = {"kind": "gpc", "d": 5, "q": [1.0] + [0.0] * 24}
+    path = write_spec(tmp_path, [gpc5, gpc5])
+    assert main(["perfect", path]) == EXIT_DIMENSION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "channels[0]: basis defined for 2 <= d <= 4, got 5" in captured.err
+
+
 def test_pe_file_p1_and_flag_override(tmp_path, capsys):
     path = write_spec(tmp_path, [NAMED_IDENT, NAMED_IDENT], p1=0.7)
     _, report = run(capsys, ["pe", path])

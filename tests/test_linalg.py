@@ -9,6 +9,7 @@ from qdiscrim.linalg import (
     hermitian_eig,
     hermiticity_defect,
     hull_contains_origin,
+    hull_origin_weights,
     require_distribution,
     trace_norm_hermitian,
 )
@@ -156,9 +157,44 @@ def convex_grid_hits_origin(points, steps=400):
     ([1.0], False),
     ([0.0], True),
     ([1, 1, 1j], False),
+    # Three points on one ray, all at least 0.84 from the origin.
+    (np.exp(0.3j) * np.array([0.87054205, 1.72103134, 0.84075928]), False),
+    # The chord across the empty half-plane misses 0 by 3e-10, but the edges
+    # through the point near 0 pass within 1e-10 of it.
+    ([1 + 3e-10j, -1 + 3e-10j, 1.05e-10 * np.exp(1j * np.pi / 3)], True),
+    ([1 + 3e-10j, -1 + 3e-10j], False),
 ])
 def test_hull_contains_origin(points, expected):
     assert hull_contains_origin(points) is expected
+
+
+@st.composite
+def point_sets(draw):
+    """1 to 9 complex points, with repeats and antipodes, scaled by 1e-6 to 1e3."""
+    base = draw(st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                                            allow_infinity=False), min_size=1, max_size=9))
+    stretch = draw(st.floats(0.1, 10.0))
+    pool = base + [-stretch * z for z in base]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=9))
+    scale = 10.0 ** draw(st.floats(-6.0, 3.0))
+    return scale * np.array([pool[k] for k in picks], dtype=complex)
+
+
+@settings(deadline=None)
+@given(point_sets())
+def test_hull_origin_weights_certify_or_separate(pts):
+    found = hull_origin_weights(pts)
+    if found is not None:
+        indices, weights = found
+        assert len(set(indices)) == len(indices) <= 3
+        assert np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-12
+        assert abs(weights @ pts[indices]) <= 2e-10 * max(1.0, float(np.max(np.abs(pts))))
+        return
+    angles = np.sort(np.angle(pts))
+    gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
+    widest = int(np.argmax(gaps))
+    away = -np.exp(1j * (angles[widest] + gaps[widest] / 2.0))
+    assert np.all((away.conjugate() * pts).real > 0.0)
 
 
 def test_hull_segment_matches_grid_oracle():

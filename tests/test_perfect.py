@@ -94,6 +94,56 @@ def test_unitary_perfect_random_certificates(rng):
     assert hits > 0
 
 
+def _surrounding_spectrum(rng, d):
+    """d phases whose convex hull holds 0: an antipodal pair, or no gap above pi."""
+    if rng.uniform() < 0.5:
+        angles = rng.uniform(0.0, 2.0 * np.pi, d)
+        angles[1] = angles[0] + np.pi
+        return angles
+    while True:
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, d))
+        if np.max(np.diff(angles, append=angles[0] + 2.0 * np.pi)) < np.pi:
+            return angles
+
+
+def _assert_unitary_certificate(u1, u2):
+    verdict = unitary_perfect(u1, u2)
+    assert verdict.distinguishable == YES
+    psi = verdict.certificate
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+    assert abs(psi.conj() @ u1.conj().T @ u2 @ psi) < 1e-8
+
+
+def test_unitary_perfect_certifies_surrounding_spectra(rng):
+    for _ in range(200):
+        u1, v = _haar_unitary(rng), _haar_unitary(rng)
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        spectrum = np.exp(1j * np.array([angle, angle + np.pi]))
+        _assert_unitary_certificate(u1, u1 @ v @ np.diag(spectrum) @ v.conj().T)
+    for d in (3, 4):
+        for _ in range(100):
+            u1, v = _haar_unitary(rng, d), _haar_unitary(rng, d)
+            spectrum = np.exp(1j * _surrounding_spectrum(rng, d))
+            _assert_unitary_certificate(u1, u1 @ v @ np.diag(spectrum) @ v.conj().T)
+
+
+def test_numeric_search_finds_every_unitary_polygon_yes(rng):
+    yes = 0
+    for d in (3, 4):
+        for _ in range(30):
+            u1, u2 = _haar_unitary(rng, d), _haar_unitary(rng, d)
+            if unitary_perfect(u1, u2).distinguishable != YES:
+                continue
+            yes += 1
+            w = u1.conj().T @ u2
+            for entangled in (False, True):
+                verdict = numeric_isotropic_search([w], entangled=entangled)
+                assert verdict.distinguishable == YES
+                op = np.kron(w, np.eye(d)) if entangled else w
+                assert abs(verdict.certificate.conj() @ op @ verdict.certificate) < 1e-8
+    assert yes > 10
+
+
 def test_qubit_product_perfect_examples():
     verdict = qubit_product_perfect(KrausChannel([PAULI_X]), KrausChannel([PAULI_Z]))
     assert verdict.distinguishable == YES
