@@ -21,7 +21,7 @@ from .errors import (
     UnknownName,
     UnsupportedDimension,
 )
-from .sphereopt import coerce_affine, fibonacci_sphere
+from .sphereopt import coerce_affine
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -32,8 +32,9 @@ _PAULI_STACK = np.stack(PAULIS)
 
 BLOCH_NORM_TOL = 1e-12
 COMPLETENESS_TOL = 1e-9
-_BALL_TOL = 1e-9
-_BALL_GRID = fibonacci_sphere(200)
+_CHOI_TOL = 1e-9
+# Row 4i + j is sigma_j^T (x) sigma_i / 2, so T.ravel() @ _CHOI_BASIS is the Choi matrix.
+_CHOI_BASIS = np.stack([np.kron(sj.T, si) for si in PAULIS for sj in PAULIS]).reshape(16, 16) / 2.0
 
 
 def as_bloch(r) -> np.ndarray:
@@ -114,15 +115,23 @@ class KrausChannel:
 
 
 class AffineChannel:
-    """Bloch-ball action r -> m r + c of a qubit channel."""
+    """Bloch-ball action r -> m r + c of a qubit channel.
+
+    The map is accepted when it is completely positive: its Choi matrix
+    J = sum_ij T_ij sigma_j^T (x) sigma_i / 2, with transfer matrix
+    T = [[1, 0], [c, m]], has no eigenvalue below -1e-9 (Ruskai, Szarek &
+    Werner 2002).  Such a map sends the ball into itself.
+    """
 
     def __init__(self, m, c=None):
         m, c = coerce_affine(m, c)
         linalg.require_finite(m, "affine matrix m")
         linalg.require_finite(c, "affine offset c")
-        reach = float(np.max(np.linalg.norm(_BALL_GRID @ m.T + c, axis=1)))
-        if reach > 1.0 + _BALL_TOL:
-            raise BlochBallViolation(f"map sends the Bloch ball out to radius {reach}")
+        transfer = np.vstack([[1.0, 0.0, 0.0, 0.0], np.column_stack([c, m])])
+        smallest = float(np.linalg.eigvalsh((transfer.ravel() @ _CHOI_BASIS).reshape(4, 4))[0])
+        if smallest < -_CHOI_TOL:
+            raise BlochBallViolation(
+                f"map is not completely positive: its Choi matrix has eigenvalue {smallest:.3e}")
         self.m = m
         self.c = c
 

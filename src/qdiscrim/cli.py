@@ -39,7 +39,6 @@ from .discrim import (
 from .errors import QdiscrimError, UnsupportedDimension
 from .oracle import helstrom_error_at, sampled_min_error, simulate_experiment
 from .perfect import (
-    NO,
     STRATEGY_ENTANGLED,
     STRATEGY_PRODUCT,
     cross_operators,
@@ -58,7 +57,11 @@ _KINDS = ("kraus", "pauli", "gpc", "named", "unitary", "affine")
 
 
 class CliInputError(Exception):
-    """Problem with the channel-spec file; message carries the location."""
+    """Bad command-line input; the message carries the location and `code` the exit code."""
+
+    def __init__(self, message: str, code: int = EXIT_INPUT):
+        super().__init__(message)
+        self.code = code
 
 
 def _parse_complex_matrix(raw, where: str) -> np.ndarray:
@@ -74,39 +77,27 @@ def _parse_complex_matrix(raw, where: str) -> np.ndarray:
 
 @dataclass(eq=False)
 class ChannelSpec:
-    """One parsed channel description from the input file."""
+    """One parsed channel; `kraus` is None only for `affine`, which builds no Kraus form."""
 
     kind: str
-    kraus: KrausChannel | None = None
+    kraus: KrausChannel | None
     gpc: GpcChannel | None = None
     affine: AffineChannel | None = None
-    unitary: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
-        if self.kind == "affine":
-            return 2
-        if self.kind in ("pauli", "gpc"):
-            return self.gpc.d
-        if self.kind == "unitary":
-            return int(self.unitary.shape[0])
-        return self.kraus.dim
+        return 2 if self.kraus is None else self.kraus.dim
 
     def to_kraus(self) -> KrausChannel:
-        if self.kind == "affine":
+        if self.kraus is None:
             raise CliInputError("affine channel descriptions carry no Kraus form")
-        if self.kind in ("pauli", "gpc"):
-            return gpc_to_kraus(self.gpc)
-        if self.kind == "unitary":
-            return KrausChannel([self.unitary])
         return self.kraus
 
     def to_affine(self) -> AffineChannel:
-        if self.kind == "affine":
-            return self.affine
-        if self.kind == "pauli":
-            return pauli_to_affine(self.gpc)
-        return kraus_to_affine(self.to_kraus())
+        if self.affine is None:
+            self.affine = (pauli_to_affine(self.gpc) if self.kind == "pauli"
+                           else kraus_to_affine(self.kraus))
+        return self.affine
 
 
 def _require_qubits(specs: list[ChannelSpec], command: str) -> None:
@@ -123,33 +114,30 @@ def _parse_spec(raw, where: str) -> ChannelSpec:
     if kind not in _KINDS:
         raise CliInputError(f"{where}: unknown kind {kind!r}; expected one of {_KINDS}")
     try:
-        if kind == "kraus":
-            ops = raw.get("ops")
+        if kind == "affine":
+            return ChannelSpec(kind, None, affine=AffineChannel(raw.get("m"), raw.get("c")))
+        if kind in ("kraus", "unitary"):
+            ops = raw.get("ops") if kind == "kraus" else [raw.get("matrix")]
             if not isinstance(ops, list) or not ops:
                 raise CliInputError(f"{where}: kraus spec needs a nonempty 'ops' list")
-            return ChannelSpec(kind, kraus=KrausChannel(
-                [_parse_complex_matrix(op, where) for op in ops]))
+            return ChannelSpec(kind, KrausChannel([_parse_complex_matrix(op, where) for op in ops]))
         if kind == "named":
-            return ChannelSpec(kind, kraus=named_channel(raw.get("name"), raw.get("param")))
+            return ChannelSpec(kind, named_channel(raw.get("name"), raw.get("param")))
         if kind == "pauli":
-            return ChannelSpec(kind, gpc=pauli_channel(raw.get("q")))
-        if kind == "gpc":
+            gpc = pauli_channel(raw.get("q"))
+        else:
             d = raw.get("d")
             if isinstance(d, bool) or not isinstance(d, int):
                 raise CliInputError(f"{where}: gpc spec needs an integer 'd', got {d!r}")
-            return ChannelSpec(kind, gpc=gpc_channel(d, raw.get("q")))
-        if kind == "unitary":
-            return ChannelSpec(kind, unitary=_parse_complex_matrix(raw.get("matrix"), where))
-        return ChannelSpec(kind, affine=AffineChannel(raw.get("m"), raw.get("c")))
-    except UnsupportedDimension as exc:
-        raise UnsupportedDimension(f"{where}: {exc}") from None
+            gpc = gpc_channel(d, raw.get("q"))
+        return ChannelSpec(kind, gpc_to_kraus(gpc), gpc)
     except QdiscrimError as exc:
-        raise CliInputError(f"{where}: {exc}") from None
+        raise type(exc)(f"{where}: {exc}") from None
     except (TypeError, ValueError) as exc:
         raise CliInputError(f"{where}: {exc}") from None
 
 
-def _load_file(path: str, expect: int | None = 2) -> tuple[list[ChannelSpec], float | None, str]:
+def _load_file(path: str, expect: int | None) -> tuple[list[ChannelSpec], float | None, str]:
     try:
         with open(path, "rb") as handle:
             blob = handle.read()
@@ -173,71 +161,52 @@ def _load_file(path: str, expect: int | None = 2) -> tuple[list[ChannelSpec], fl
 
 
 def _priors(file_p1: float | None, flag_p1: float | None) -> PriorPair:
-    p1 = 0.5 if flag_p1 is None and file_p1 is None else (
-        flag_p1 if flag_p1 is not None else file_p1)
-    return PriorPair.from_p1(p1)
+    """The --p1 flag wins over the file's p1, which wins over 0.5."""
+    return PriorPair.from_p1(next(p for p in (flag_p1, file_p1, 0.5) if p is not None))
 
 
 def _complex_vector(psi: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in psi]
-
-
-def _report(command: str, digest: str, body: dict) -> dict:
-    return {"tool": "qdiscrim", "version": __version__, "command": command,
-            "input_digest": f"sha256:{digest}", **body}
-
-
-def _emit(report: dict, pretty: bool) -> None:
-    print(json.dumps(report, indent=2 if pretty else None, allow_nan=False))
+    return np.column_stack([psi.real, psi.imag]).tolist()
 
 
 def _affine_payload(aff: AffineChannel) -> dict:
-    return {"kind": "affine", "m": [[float(x) for x in row] for row in aff.m],
-            "c": [float(x) for x in aff.c]}
+    return {"kind": "affine", "m": aff.m.tolist(), "c": aff.c.tolist()}
 
 
-def _cmd_pe(args) -> int:
-    specs, file_p1, digest = _load_file(args.file)
+def _cmd_pe(args, specs: list[ChannelSpec], file_p1: float | None) -> dict:
     priors = _priors(file_p1, args.p1)
     _require_qubits(specs, "pe")
     affines = [spec.to_affine() for spec in specs]
     result = min_error_probability(affines[0], affines[1], priors)
-    _emit(_report("pe", digest, {
+    return {
         "p1": priors.p1,
         "p2": priors.p2,
         "p_error": result.p_error,
         "regime": result.regime,
-        "optimal_bloch": None if result.optimal_bloch is None else
-            [float(x) for x in result.optimal_bloch],
+        "optimal_bloch": None if result.optimal_bloch is None else result.optimal_bloch.tolist(),
         "trace_norm_at_opt": result.trace_norm_at_opt,
         "affine_reps": [_affine_payload(aff) for aff in affines],
-    }), args.pretty)
-    return EXIT_OK
+    }
 
 
-def _cmd_pe_pauli(args) -> int:
-    specs, file_p1, digest = _load_file(args.file)
+def _cmd_pe_pauli(args, specs: list[ChannelSpec], file_p1: float | None) -> dict:
     if any(spec.kind != "pauli" for spec in specs):
-        print("error: pe-pauli requires two pauli-kind channel specs", file=sys.stderr)
-        return EXIT_INPUT
+        raise CliInputError("pe-pauli requires two pauli-kind channel specs")
     priors = _priors(file_p1, args.p1)
     q1, q2 = specs[0].gpc.q, specs[1].gpc.q
     closed = pauli_closed_form(q1, q2, priors)
     sacchi = pauli_sacchi_form(q1, q2, priors)
-    axis = optimal_pauli_axis(q1, q2, priors)
-    _emit(_report("pe-pauli", digest, {
+    return {
         "p1": priors.p1,
         "p2": priors.p2,
         "p_error_closed_form": closed.p_error,
         "p_error_sacchi_form": sacchi,
         "forms_agree": bool(abs(closed.p_error - sacchi) <= 1e-12),
         "regime": closed.regime,
-        "optimal_axis": axis,
-        "optimal_bloch": None if closed.optimal_bloch is None else
-            [float(x) for x in closed.optimal_bloch],
+        "optimal_axis": optimal_pauli_axis(q1, q2, priors),
+        "optimal_bloch": None if closed.optimal_bloch is None else closed.optimal_bloch.tolist(),
         "trace_norm_at_opt": closed.trace_norm_at_opt,
-    }), args.pretty)
-    return EXIT_OK
+    }
 
 
 def _residual(specs: list[ChannelSpec], verdict) -> float | None:
@@ -251,15 +220,12 @@ def _residual(specs: list[ChannelSpec], verdict) -> float | None:
     return float(max(abs(psi.conj() @ op @ psi) for op in ops))
 
 
-def _cmd_perfect(args) -> int:
-    specs, _, digest = _load_file(args.file)
+def _cmd_perfect(args, specs: list[ChannelSpec], file_p1: float | None) -> dict:
     if specs[0].dim != specs[1].dim:
-        print(f"error: channel dimensions differ: {specs[0].dim} vs {specs[1].dim}",
-              file=sys.stderr)
-        return EXIT_INPUT
+        raise CliInputError(f"channel dimensions differ: {specs[0].dim} vs {specs[1].dim}")
     entangled = args.strategy == STRATEGY_ENTANGLED
     if not entangled and all(spec.kind == "unitary" for spec in specs):
-        verdict = unitary_perfect(specs[0].unitary, specs[1].unitary)
+        verdict = unitary_perfect(specs[0].kraus.ops[0], specs[1].kraus.ops[0])
     elif not entangled and specs[0].dim == 2:
         verdict = qubit_product_perfect(specs[0].to_kraus(), specs[1].to_kraus())
     elif entangled and all(spec.kind in ("pauli", "gpc") for spec in specs) \
@@ -269,19 +235,17 @@ def _cmd_perfect(args) -> int:
         ops = cross_operators(specs[0].to_kraus(), specs[1].to_kraus())
         verdict = numeric_isotropic_search(ops, entangled, seed=args.seed,
                                            restarts=args.restarts)
-    _emit(_report("perfect", digest, {
+    return {
         "strategy": args.strategy,
         "verdict": verdict.distinguishable,
         "method": verdict.method,
         "certificate": None if verdict.certificate is None else
             _complex_vector(verdict.certificate),
         "residual": _residual(specs, verdict),
-    }), args.pretty)
-    return EXIT_OK
+    }
 
 
-def _cmd_oracle(args) -> int:
-    specs, file_p1, digest = _load_file(args.file)
+def _cmd_oracle(args, specs: list[ChannelSpec], file_p1: float | None) -> dict:
     priors = _priors(file_p1, args.p1)
     _require_qubits(specs, "oracle")
     e1, e2 = specs[0].to_kraus(), specs[1].to_kraus()
@@ -298,33 +262,29 @@ def _cmd_oracle(args) -> int:
         analytic = min_error_probability(specs[0].to_affine(), specs[1].to_affine(), priors)
         body["analytic_p_error"] = analytic.p_error
         body["gap"] = estimate.p_error_estimate - analytic.p_error
-    _emit(_report("oracle", digest, body), args.pretty)
-    return EXIT_OK
+    return body
 
 
-def _cmd_simulate(args) -> int:
-    specs, file_p1, digest = _load_file(args.file)
+def _cmd_simulate(args, specs: list[ChannelSpec], file_p1: float | None) -> dict:
     priors = _priors(file_p1, args.p1)
     _require_qubits(specs, "simulate")
     analytic = min_error_probability(specs[0].to_affine(), specs[1].to_affine(), priors)
     if args.input == "optimal":
         if analytic.regime == REGIME_GUESS_PRIOR:
-            print("error: no optimal input exists; the guess-prior regime needs no measurement",
-                  file=sys.stderr)
-            return EXIT_SEMANTIC
+            raise CliInputError(
+                "no optimal input exists; the guess-prior regime needs no measurement",
+                EXIT_SEMANTIC)
         bloch = analytic.optimal_bloch
     else:
         try:
             bloch = np.array([float(x) for x in args.input.split(",")])
         except ValueError:
-            print(f"error: --input must be 'optimal' or 'x,y,z', got {args.input!r}",
-                  file=sys.stderr)
-            return EXIT_INPUT
+            raise CliInputError(
+                f"--input must be 'optimal' or 'x,y,z', got {args.input!r}") from None
         # Written so that a NaN entry fails the test too.
         if bloch.shape != (3,) or not abs(np.linalg.norm(bloch) - 1.0) <= 1e-9:
-            print("error: --input Bloch vector must be a unit 3-vector (a pure probe state)",
-                  file=sys.stderr)
-            return EXIT_INPUT
+            raise CliInputError(
+                "--input Bloch vector must be a unit 3-vector (a pure probe state)")
     psi = bloch_to_ket(bloch)
     e1, e2 = specs[0].to_kraus(), specs[1].to_kraus()
     empirical = simulate_experiment(e1, e2, priors, psi, args.trials, args.seed)
@@ -333,31 +293,25 @@ def _cmd_simulate(args) -> int:
     # A deterministic outcome (sigma 0) that the sample missed has no finite z-score.
     z_score = 0.0 if sigma == 0.0 and empirical == reference else (
         None if sigma == 0.0 else (empirical - reference) / sigma)
-    _emit(_report("simulate", digest, {
+    return {
         "p1": priors.p1,
         "p2": priors.p2,
-        "input_bloch": [float(x) for x in bloch],
+        "input_bloch": bloch.tolist(),
         "empirical_error": empirical,
         "analytic_error": reference,
         "trials": args.trials,
         "z_score": z_score,
-    }), args.pretty)
-    return EXIT_OK
+    }
 
 
-def _cmd_convert(args) -> int:
-    specs, file_p1, digest = _load_file(args.file, expect=None)
+def _cmd_convert(args, specs: list[ChannelSpec], file_p1: float | None) -> dict:
     if len(specs) not in (1, 2):
-        print(f"error: expected one or two channels, got {len(specs)}", file=sys.stderr)
-        return EXIT_INPUT
+        raise CliInputError(f"expected one or two channels, got {len(specs)}")
     _require_qubits(specs, "convert")
-    report = _report("convert", digest, {
-        "channels": [_affine_payload(spec.to_affine()) for spec in specs],
-    })
+    body = {"channels": [_affine_payload(spec.to_affine()) for spec in specs]}
     if file_p1 is not None:
-        report["p1"] = file_p1
-    _emit(report, args.pretty)
-    return EXIT_OK
+        body["p1"] = file_p1
+    return body
 
 
 def _positive_int(text: str) -> int:
@@ -375,56 +329,56 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qdiscrim",
         description="Minimum-error and perfect discrimination of single-qubit quantum operations.")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("file", help="channel-spec JSON file")
+    common.add_argument("--pretty", action="store_true", help="indent the JSON report")
+    prior = argparse.ArgumentParser(add_help=False)
+    prior.add_argument("--p1", type=float, default=None, help="prior of the first channel")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
 
-    def add(name, func, helptext):
-        cmd = sub.add_parser(name, help=helptext)
-        cmd.add_argument("file", help="channel-spec JSON file")
-        cmd.add_argument("--pretty", action="store_true", help="indent the JSON report")
-        cmd.set_defaults(func=func)
+    def add(name, func, helptext, *parents):
+        cmd = sub.add_parser(name, help=helptext, parents=[common, *parents])
+        cmd.set_defaults(func=func, expect=2)
         return cmd
 
-    pe = add("pe", _cmd_pe, "exact minimum error probability (unentangled strategy)")
-    pe.add_argument("--p1", type=float, default=None, help="prior of the first channel")
+    add("pe", _cmd_pe, "exact minimum error probability (unentangled strategy)", prior)
+    add("pe-pauli", _cmd_pe_pauli, "closed forms for two Pauli channels", prior)
 
-    pep = add("pe-pauli", _cmd_pe_pauli, "closed forms for two Pauli channels")
-    pep.add_argument("--p1", type=float, default=None)
-
-    perf = add("perfect", _cmd_perfect, "decide perfect distinguishability")
+    perf = add("perfect", _cmd_perfect, "decide perfect distinguishability", seeded)
     perf.add_argument("--strategy", choices=(STRATEGY_PRODUCT, STRATEGY_ENTANGLED),
                       default=STRATEGY_PRODUCT)
-    perf.add_argument("--seed", type=int, default=0)
     perf.add_argument("--restarts", type=_positive_int, default=16)
 
-    orc = add("oracle", _cmd_oracle, "sampled brute-force error estimate")
-    orc.add_argument("--p1", type=float, default=None)
+    orc = add("oracle", _cmd_oracle, "sampled brute-force error estimate", prior, seeded)
     orc.add_argument("--n", type=_positive_int, default=10000, help="number of Haar samples")
     orc.add_argument("--entangled", action="store_true")
-    orc.add_argument("--seed", type=int, default=0)
 
-    sim = add("simulate", _cmd_simulate, "Monte Carlo check of the Helstrom measurement")
-    sim.add_argument("--p1", type=float, default=None)
+    sim = add("simulate", _cmd_simulate, "Monte Carlo check of the Helstrom measurement",
+              prior, seeded)
     sim.add_argument("--input", default="optimal", help="'optimal' or a Bloch triple 'x,y,z'")
     sim.add_argument("--trials", type=_positive_int, default=100000)
-    sim.add_argument("--seed", type=int, default=0)
 
-    add("convert", _cmd_convert, "emit the affine Bloch form (M, c) of each channel")
+    conv = add("convert", _cmd_convert, "emit the affine Bloch form (M, c) of each channel")
+    conv.set_defaults(expect=None)  # one or two channels, counted by _cmd_convert
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        specs, file_p1, digest = _load_file(args.file, args.expect)
+        body = args.func(args, specs, file_p1)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except UnsupportedDimension as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
+        return exc.code
     except QdiscrimError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_DIMENSION if isinstance(exc, UnsupportedDimension) else EXIT_INPUT
+    report = {"tool": "qdiscrim", "version": __version__, "command": args.command,
+              "input_digest": f"sha256:{digest}", **body}
+    print(json.dumps(report, indent=2 if args.pretty else None, allow_nan=False))
+    return EXIT_OK
 
 
 def entry() -> None:

@@ -26,7 +26,7 @@ class NotTracePreserving(QdiscrimError):
 
 
 class BlochBallViolation(QdiscrimError):
-    """Affine map sends some Bloch vector outside the unit ball."""
+    """Affine map is not a qubit channel (not completely positive)."""
 
 
 class DimensionMismatch(QdiscrimError):

@@ -72,11 +72,10 @@ def _secular_root(gaps: np.ndarray, b: np.ndarray) -> float:
         return sum(bsq / (t + gap) ** 2 for bsq, gap in terms)
 
     lo = 1e-14
+    # The gaps are >= 0, so g(hi) <= ||b||^2 / hi^2 < 1: hi brackets the root.
     hi = math.sqrt(sum(bsq for bsq, _ in terms)) + 1.0
     if g(lo) < 1.0:
         return lo
-    while g(hi) >= 1.0:  # pragma: no cover - bracket end is already safe
-        hi = 2.0 * hi
     t = 0.5 * (lo + hi)
     for _ in range(200):
         h = g(t) - 1.0

@@ -39,7 +39,7 @@ from qdiscrim.errors import (
     UnknownName,
     UnsupportedDimension,
 )
-from qdiscrim.sphereopt import fibonacci_sphere
+from qdiscrim.sphereopt import fibonacci_sphere, maximize_on_sphere
 
 
 def test_bloch_to_density_poles_and_mixed():
@@ -110,11 +110,11 @@ def test_kraus_vs_direct_evolution(rng):
             np.testing.assert_allclose(evolved, aff.apply(r), atol=1e-9)
 
 
-def _affine_by_apply(ch):
+def _affine_by_apply(apply):
     """Reference (M, c) from the definition, one apply and one trace per entry."""
-    m = np.array([[np.trace(PAULIS[k] @ ch.apply(PAULIS[l])).real / 2.0 for l in (1, 2, 3)]
+    m = np.array([[np.trace(PAULIS[k] @ apply(PAULIS[l])).real / 2.0 for l in (1, 2, 3)]
                   for k in (1, 2, 3)])
-    c = np.array([np.trace(PAULIS[k] @ ch.apply(PAULI_I)).real / 2.0 for k in (1, 2, 3)])
+    c = np.array([np.trace(PAULIS[k] @ apply(PAULI_I)).real / 2.0 for k in (1, 2, 3)])
     return m, c
 
 
@@ -134,7 +134,7 @@ def kraus_channels(draw):
 @given(kraus_channels())
 def test_kraus_to_affine_matches_apply_definition(ch):
     aff = kraus_to_affine(ch)
-    m, c = _affine_by_apply(ch)
+    m, c = _affine_by_apply(ch.apply)
     assert np.max(np.abs(aff.m - m)) <= 1e-14
     assert np.max(np.abs(aff.c - c)) <= 1e-14
 
@@ -180,6 +180,64 @@ def test_affine_channel_rejects_expanding_maps():
         AffineChannel(1.5 * np.eye(3))
     with pytest.raises(BlochBallViolation):
         AffineChannel(np.eye(3), [0.0, 0.0, 0.5])
+
+
+# About 0.17 rad from the nearest point of fibonacci_sphere(200).
+_UNSAMPLED = np.array([-0.021, 0.383, -0.924])
+
+
+@pytest.mark.parametrize("m", [
+    np.diag([1.0, -1.0, 1.0]),  # the transpose map
+    -np.eye(3),
+    # Reach 1.0145, but at most 0.99993 on the 200 points a sampled ball check used.
+    1.0145 * np.outer([1.0, 0.0, 0.0], _UNSAMPLED / np.linalg.norm(_UNSAMPLED)),
+])
+def test_affine_channel_rejects_maps_that_are_not_completely_positive(m):
+    with pytest.raises(BlochBallViolation, match="not completely positive"):
+        AffineChannel(m)
+
+
+def _choi_by_definition(m, c):
+    """sum_ab |a><b| (x) Phi(|a><b|), with Phi(X) = (Tr X I + (m r_X + Tr X c) . sigma) / 2."""
+    choi = np.zeros((4, 4), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            x = np.zeros((2, 2))
+            x[a, b] = 1.0
+            r = np.array([np.trace(sigma @ x) for sigma in PAULIS[1:]])
+            out = m @ r + np.trace(x) * c
+            image = (np.trace(x) * PAULI_I + sum(o * sigma for o, sigma in zip(out, PAULIS[1:]))) / 2
+            choi += np.kron(x, image)
+    return choi
+
+
+def _check_choi_verdict(m, c) -> bool:
+    """AffineChannel accepts (m, c) exactly when the Choi matrix by definition is PSD;
+    an accepted map reaches at most radius 1 and has Kraus operators that give back (m, c)."""
+    choi = _choi_by_definition(m, c)
+    evals, evecs = np.linalg.eigh(choi)
+    try:
+        AffineChannel(m, c)
+    except BlochBallViolation:
+        assert evals[0] < -1e-9
+        return False
+    assert evals[0] >= -1e-9
+    assert maximize_on_sphere(m, c).value <= 1.0 + 1e-9
+    # Column a of K is block a of the eigenvector: v = sum_a |a> (x) K|a>.
+    ops = [np.sqrt(max(lam, 0.0)) * v.reshape(2, 2).T for lam, v in zip(evals, evecs.T)]
+    m_back, c_back = _affine_by_apply(lambda rho: sum(k @ rho @ k.conj().T for k in ops))
+    assert np.max(np.abs(m_back - m)) <= 1e-9
+    assert np.max(np.abs(c_back - c)) <= 1e-9
+    return True
+
+
+@settings(deadline=None)
+@given(kraus_channels(), arrays(np.float64, (3, 4), elements=st.floats(-1.0, 1.0)),
+       st.floats(0.0, 1.5))
+def test_choi_check_accepts_exactly_the_qubit_channels(ch, entries, scale):
+    aff = kraus_to_affine(ch)
+    assert _check_choi_verdict(aff.m, aff.c)
+    _check_choi_verdict(scale * entries[:, :3], scale * entries[:, 3])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

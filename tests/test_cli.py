@@ -311,3 +311,67 @@ def test_non_finite_prior_and_probe_are_input_errors(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--input" in captured.err
+
+
+TRANSPOSE_MAP = {"kind": "affine", "m": [[1, 0, 0], [0, -1, 0], [0, 0, 1]], "c": [0, 0, 0]}
+NON_UNITARY = {"kind": "unitary", "matrix": [[[1, 0], [0.5, 0]], [[0, 0], [1, 0]]]}
+GPC3 = {"kind": "gpc", "d": 3, "q": [1.0] + [0.0] * 8}
+IDENTITY_AFFINE = {"kind": "affine", "m": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "c": [0, 0, 0]}
+
+# One row per raise site in cli.py, plus main's handler for solver errors:
+# (argv after the file, file contents, exit code, channel index named on stderr or None).
+# argparse's own usage errors are covered by test_count_flags_take_positive_integers.
+ERROR_EXITS = {
+    "missing_file": (["pe"], None, EXIT_INPUT, None),
+    "malformed_json": (["pe"], '{"channels": [', EXIT_INPUT, None),
+    "no_channels_list": (["pe"], {"chans": []}, EXIT_INPUT, None),
+    "channel_count": (["pe"], {"channels": [NAMED_IDENT]}, EXIT_INPUT, None),
+    "bool_p1": (["pe"], {"channels": [NAMED_IDENT, NAMED_DEP1], "p1": True}, EXIT_INPUT, None),
+    "spec_not_object": (["pe"], {"channels": [NAMED_IDENT, 3]}, EXIT_INPUT, 1),
+    "unknown_kind": (["pe"], {"channels": [{"kind": "shear"}, NAMED_IDENT]}, EXIT_INPUT, 0),
+    "kraus_without_ops": (["pe"], {"channels": [{"kind": "kraus"}, NAMED_IDENT]}, EXIT_INPUT, 0),
+    "malformed_complex": (["pe"], {"channels": [{"kind": "kraus", "ops": [[[["a", 0]]]]},
+                                                NAMED_IDENT]}, EXIT_INPUT, 0),
+    "not_complex_pairs": (["perfect"], {"channels": [UNITARY_X, {
+        "kind": "unitary", "matrix": [[1, 0], [0, 1]]}]}, EXIT_INPUT, 1),
+    "fractional_d": (["convert"], {"channels": [{"kind": "gpc", "d": 2.7, "q": [1, 0, 0, 0]}]},
+                     EXIT_INPUT, 0),
+    "missing_param": (["pe"], {"channels": [NAMED_IDENT, {"kind": "named", "name": "bit_flip"}]},
+                      EXIT_INPUT, 1),
+    "invalid_distribution": (["pe-pauli"], {"channels": [PAULI_A, {
+        "kind": "pauli", "q": [0.5, 0.5, 0.5, 0.5]}]}, EXIT_INPUT, 1),
+    "non_cp_affine": (["pe"], {"channels": [TRANSPOSE_MAP, NAMED_IDENT]}, EXIT_INPUT, 0),
+    "non_unitary_matrix": (["perfect"], {"channels": [UNITARY_X, NON_UNITARY]}, EXIT_INPUT, 1),
+    "gpc_without_basis": (["perfect"], {"channels": [{"kind": "gpc", "d": 5, "q": [1] + [0] * 24},
+                                                     GPC3]}, EXIT_DIMENSION, 0),
+    "qutrit_pe": (["pe"], {"channels": [GPC3, GPC3]}, EXIT_DIMENSION, None),
+    "pe_pauli_kinds": (["pe-pauli"], {"channels": [PAULI_A, NAMED_IDENT]}, EXIT_INPUT, None),
+    "perfect_dimensions_differ": (["perfect"], {"channels": [UNITARY_X, GPC3]}, EXIT_INPUT, None),
+    "affine_under_oracle": (["oracle", "--n", "10"], {"channels": [IDENTITY_AFFINE] * 2},
+                            EXIT_INPUT, None),
+    "simulate_guess_prior": (["simulate", "--p1", "0.7"], {"channels": [NAMED_IDENT] * 2},
+                             EXIT_SEMANTIC, None),
+    "input_not_numbers": (["simulate", "--input", "abc"], {"channels": [NAMED_IDENT, NAMED_DEP1]},
+                          EXIT_INPUT, None),
+    "input_not_unit": (["simulate", "--input", "0,0,0.5"], {"channels": [NAMED_IDENT, NAMED_DEP1]},
+                       EXIT_INPUT, None),
+    "convert_three_channels": (["convert"], {"channels": [NAMED_IDENT] * 3}, EXIT_INPUT, None),
+    "prior_out_of_range": (["pe", "--p1", "1.5"], {"channels": [NAMED_IDENT, NAMED_DEP1]},
+                           EXIT_INPUT, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_EXITS))
+def test_every_error_exit_writes_one_located_line(tmp_path, capsys, name):
+    argv, doc, expected, index = ERROR_EXITS[name]
+    path = tmp_path / "spec.json"
+    if doc is not None:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+    code = main([argv[0], str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == expected
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    if index is not None:
+        assert f"channels[{index}]" in lines[0]
