@@ -114,21 +114,25 @@ class KrausChannel:
         return np.einsum("kij,jl,kml->im", self.ops, rho, self.ops.conj())
 
 
+def _choi_matrix(m: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Choi matrix sum_ij T_ij sigma_j^T (x) sigma_i / 2 of r -> m r + c, T = [[1, 0], [c, m]]."""
+    transfer = np.vstack([[1.0, 0.0, 0.0, 0.0], np.column_stack([c, m])])
+    return (transfer.ravel() @ _CHOI_BASIS).reshape(4, 4)
+
+
 class AffineChannel:
     """Bloch-ball action r -> m r + c of a qubit channel.
 
-    The map is accepted when it is completely positive: its Choi matrix
-    J = sum_ij T_ij sigma_j^T (x) sigma_i / 2, with transfer matrix
-    T = [[1, 0], [c, m]], has no eigenvalue below -1e-9 (Ruskai, Szarek &
-    Werner 2002).  Such a map sends the ball into itself.
+    The map is accepted when it is completely positive: its Choi matrix has
+    no eigenvalue below -1e-9 (Ruskai, Szarek & Werner 2002).  Such a map
+    sends the ball into itself.
     """
 
     def __init__(self, m, c=None):
         m, c = coerce_affine(m, c)
         linalg.require_finite(m, "affine matrix m")
         linalg.require_finite(c, "affine offset c")
-        transfer = np.vstack([[1.0, 0.0, 0.0, 0.0], np.column_stack([c, m])])
-        smallest = float(np.linalg.eigvalsh((transfer.ravel() @ _CHOI_BASIS).reshape(4, 4))[0])
+        smallest = float(np.linalg.eigvalsh(_choi_matrix(m, c))[0])
         if smallest < -_CHOI_TOL:
             raise BlochBallViolation(
                 f"map is not completely positive: its Choi matrix has eigenvalue {smallest:.3e}")
@@ -152,6 +156,21 @@ def kraus_to_affine(ch: KrausChannel) -> AffineChannel:
     return AffineChannel(overlaps[:, 1:], overlaps[:, 0])
 
 
+def affine_to_kraus(aff: AffineChannel) -> KrausChannel:
+    """Kraus operators sqrt(lambda_k) unvec(v_k) read off the Choi matrix (Choi 1975).
+
+    Eigenvalues up to 1e-12 are rounding: their ~1e-8 operators would pass
+    the deciders' 1e-10 rank tests.  Dropping them moves S = sum K^dag K off
+    the identity by up to the -1e-9 Choi tolerance, hence the S^(-1/2).
+    """
+    evals, evecs = np.linalg.eigh(_choi_matrix(aff.m, aff.c))
+    keep = evals > 1e-12
+    # Block a of the eigenvector v is column a of K: v = sum_a |a> (x) K|a>.
+    ops = (np.sqrt(evals[keep]) * evecs[:, keep]).T.reshape(-1, 2, 2).swapaxes(1, 2)
+    w, u = np.linalg.eigh(np.einsum("kij,kil->jl", ops.conj(), ops))
+    return KrausChannel(ops @ (u / np.sqrt(w)) @ u.conj().T)
+
+
 _NAMED_CHANNELS = ("bit_flip", "phase_flip", "bit_phase_flip",
                    "depolarizing", "phase_damping", "amplitude_damping")
 
@@ -160,8 +179,9 @@ def named_channel(name: str, param: float) -> KrausChannel:
     """Standard single-qubit channel by name, with parameter in [0, 1]."""
     if name not in _NAMED_CHANNELS:
         raise UnknownName(f"unknown channel {name!r}; choose from {_NAMED_CHANNELS}")
-    if not 0.0 <= param <= 1.0:
-        raise ParamOutOfRange(f"channel parameter must lie in [0, 1], got {param}")
+    real = (int, float, np.integer, np.floating)
+    if isinstance(param, bool) or not isinstance(param, real) or not 0.0 <= param <= 1.0:
+        raise ParamOutOfRange(f"channel parameter must be a number in [0, 1], got {param!r}")
     p = param
     if name == "bit_flip":
         ops = [np.sqrt(p) * PAULI_I, np.sqrt(1.0 - p) * PAULI_X]

@@ -20,6 +20,7 @@ from .channels import (
     AffineChannel,
     GpcChannel,
     KrausChannel,
+    affine_to_kraus,
     bloch_to_ket,
     gpc_channel,
     gpc_to_kraus,
@@ -32,7 +33,6 @@ from .discrim import (
     REGIME_GUESS_PRIOR,
     PriorPair,
     min_error_probability,
-    optimal_pauli_axis,
     pauli_closed_form,
     pauli_sacchi_form,
 )
@@ -75,36 +75,21 @@ def _parse_complex_matrix(raw, where: str) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class ChannelSpec:
-    """One parsed channel; `kraus` is None only for `affine`, which builds no Kraus form."""
+    """One parsed channel in all its forms; `gpc` is None for other kinds, `affine` for d >= 3."""
 
     kind: str
-    kraus: KrausChannel | None
-    gpc: GpcChannel | None = None
-    affine: AffineChannel | None = None
-
-    @property
-    def dim(self) -> int:
-        return 2 if self.kraus is None else self.kraus.dim
-
-    def to_kraus(self) -> KrausChannel:
-        if self.kraus is None:
-            raise CliInputError("affine channel descriptions carry no Kraus form")
-        return self.kraus
-
-    def to_affine(self) -> AffineChannel:
-        if self.affine is None:
-            self.affine = (pauli_to_affine(self.gpc) if self.kind == "pauli"
-                           else kraus_to_affine(self.kraus))
-        return self.affine
+    kraus: KrausChannel
+    gpc: GpcChannel | None
+    affine: AffineChannel | None
 
 
 def _require_qubits(specs: list[ChannelSpec], command: str) -> None:
     for spec in specs:
-        if spec.dim != 2:
+        if spec.affine is None:
             raise UnsupportedDimension(
-                f"{command} requires qubit channels, got dimension {spec.dim}")
+                f"{command} requires qubit channels, got dimension {spec.kraus.dim}")
 
 
 def _parse_spec(raw, where: str) -> ChannelSpec:
@@ -113,27 +98,30 @@ def _parse_spec(raw, where: str) -> ChannelSpec:
     kind = raw["kind"]
     if kind not in _KINDS:
         raise CliInputError(f"{where}: unknown kind {kind!r}; expected one of {_KINDS}")
+    gpc = affine = None
     try:
         if kind == "affine":
-            return ChannelSpec(kind, None, affine=AffineChannel(raw.get("m"), raw.get("c")))
-        if kind in ("kraus", "unitary"):
+            affine = AffineChannel(raw.get("m"), raw.get("c"))
+            kraus = affine_to_kraus(affine)
+        elif kind in ("kraus", "unitary"):
             ops = raw.get("ops") if kind == "kraus" else [raw.get("matrix")]
             if not isinstance(ops, list) or not ops:
                 raise CliInputError(f"{where}: kraus spec needs a nonempty 'ops' list")
-            return ChannelSpec(kind, KrausChannel([_parse_complex_matrix(op, where) for op in ops]))
-        if kind == "named":
-            return ChannelSpec(kind, named_channel(raw.get("name"), raw.get("param")))
-        if kind == "pauli":
-            gpc = pauli_channel(raw.get("q"))
+            kraus = KrausChannel([_parse_complex_matrix(op, where) for op in ops])
+        elif kind == "named":
+            kraus = named_channel(raw.get("name"), raw.get("param"))
         else:
-            d = raw.get("d")
+            d = raw.get("d") if kind == "gpc" else 2
             if isinstance(d, bool) or not isinstance(d, int):
                 raise CliInputError(f"{where}: gpc spec needs an integer 'd', got {d!r}")
-            gpc = gpc_channel(d, raw.get("q"))
-        return ChannelSpec(kind, gpc_to_kraus(gpc), gpc)
+            gpc = gpc_channel(d, raw.get("q")) if kind == "gpc" else pauli_channel(raw.get("q"))
+            kraus = gpc_to_kraus(gpc)
+        if affine is None and kraus.dim == 2:
+            affine = pauli_to_affine(gpc) if kind == "pauli" else kraus_to_affine(kraus)
+        return ChannelSpec(kind, kraus, gpc, affine)
     except QdiscrimError as exc:
         raise type(exc)(f"{where}: {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliInputError(f"{where}: {exc}") from None
 
 
@@ -155,8 +143,10 @@ def _load_file(path: str, expect: int | None) -> tuple[list[ChannelSpec], float 
         raise CliInputError(f"{path}: expected exactly {expect} channels, got {len(raw_channels)}")
     specs = [_parse_spec(raw, f"{path}: channels[{i}]") for i, raw in enumerate(raw_channels)]
     p1 = doc.get("p1")
-    if p1 is not None and (isinstance(p1, bool) or not isinstance(p1, (int, float))):
-        raise CliInputError(f"{path}: 'p1' must be a number")
+    # NaN and integers too large for a float fail the range test too.
+    if p1 is not None and (isinstance(p1, bool) or not isinstance(p1, (int, float))
+                           or not 0.0 <= p1 <= 1.0):
+        raise CliInputError(f"{path}: 'p1' must be a number in [0, 1]")
     return specs, p1, digest
 
 
@@ -176,8 +166,7 @@ def _affine_payload(aff: AffineChannel) -> dict:
 def _cmd_pe(args, specs: list[ChannelSpec], file_p1: float | None) -> dict:
     priors = _priors(file_p1, args.p1)
     _require_qubits(specs, "pe")
-    affines = [spec.to_affine() for spec in specs]
-    result = min_error_probability(affines[0], affines[1], priors)
+    result = min_error_probability(specs[0].affine, specs[1].affine, priors)
     return {
         "p1": priors.p1,
         "p2": priors.p2,
@@ -185,13 +174,14 @@ def _cmd_pe(args, specs: list[ChannelSpec], file_p1: float | None) -> dict:
         "regime": result.regime,
         "optimal_bloch": None if result.optimal_bloch is None else result.optimal_bloch.tolist(),
         "trace_norm_at_opt": result.trace_norm_at_opt,
-        "affine_reps": [_affine_payload(aff) for aff in affines],
+        "affine_reps": [_affine_payload(spec.affine) for spec in specs],
     }
 
 
 def _cmd_pe_pauli(args, specs: list[ChannelSpec], file_p1: float | None) -> dict:
-    if any(spec.kind != "pauli" for spec in specs):
-        raise CliInputError("pe-pauli requires two pauli-kind channel specs")
+    for i, spec in enumerate(specs):
+        if spec.kind != "pauli":
+            raise CliInputError(f"{args.file}: channels[{i}]: pe-pauli requires pauli-kind specs")
     priors = _priors(file_p1, args.p1)
     q1, q2 = specs[0].gpc.q, specs[1].gpc.q
     closed = pauli_closed_form(q1, q2, priors)
@@ -203,37 +193,36 @@ def _cmd_pe_pauli(args, specs: list[ChannelSpec], file_p1: float | None) -> dict
         "p_error_sacchi_form": sacchi,
         "forms_agree": bool(abs(closed.p_error - sacchi) <= 1e-12),
         "regime": closed.regime,
-        "optimal_axis": optimal_pauli_axis(q1, q2, priors),
+        "optimal_axis": None if closed.optimal_bloch is None else
+            "xyz"[int(np.argmax(closed.optimal_bloch))],
         "optimal_bloch": None if closed.optimal_bloch is None else closed.optimal_bloch.tolist(),
         "trace_norm_at_opt": closed.trace_norm_at_opt,
     }
 
 
-def _residual(specs: list[ChannelSpec], verdict) -> float | None:
+def _residual(e1: KrausChannel, e2: KrausChannel, verdict) -> float | None:
     if verdict.certificate is None:
         return None
-    ops = cross_operators(specs[0].to_kraus(), specs[1].to_kraus())
+    ops = cross_operators(e1, e2)
     psi = verdict.certificate
-    if psi.size == specs[0].dim ** 2:
-        eye = np.eye(specs[0].dim)
-        ops = [np.kron(op, eye) for op in ops]
+    if psi.size == e1.dim ** 2:
+        ops = [np.kron(op, np.eye(e1.dim)) for op in ops]
     return float(max(abs(psi.conj() @ op @ psi) for op in ops))
 
 
 def _cmd_perfect(args, specs: list[ChannelSpec], file_p1: float | None) -> dict:
-    if specs[0].dim != specs[1].dim:
-        raise CliInputError(f"channel dimensions differ: {specs[0].dim} vs {specs[1].dim}")
+    e1, e2 = specs[0].kraus, specs[1].kraus
+    if e1.dim != e2.dim:
+        raise CliInputError(f"channel dimensions differ: {e1.dim} vs {e2.dim}")
     entangled = args.strategy == STRATEGY_ENTANGLED
     if not entangled and all(spec.kind == "unitary" for spec in specs):
-        verdict = unitary_perfect(specs[0].kraus.ops[0], specs[1].kraus.ops[0])
-    elif not entangled and specs[0].dim == 2:
-        verdict = qubit_product_perfect(specs[0].to_kraus(), specs[1].to_kraus())
-    elif entangled and all(spec.kind in ("pauli", "gpc") for spec in specs) \
-            and specs[0].kind == specs[1].kind:
+        verdict = unitary_perfect(e1.ops[0], e2.ops[0])
+    elif not entangled and e1.dim == 2:
+        verdict = qubit_product_perfect(e1, e2)
+    elif entangled and specs[0].gpc is not None and specs[0].kind == specs[1].kind:
         verdict = gpc_perfect_entangled(specs[0].gpc, specs[1].gpc)
     else:
-        ops = cross_operators(specs[0].to_kraus(), specs[1].to_kraus())
-        verdict = numeric_isotropic_search(ops, entangled, seed=args.seed,
+        verdict = numeric_isotropic_search(cross_operators(e1, e2), entangled, seed=args.seed,
                                            restarts=args.restarts)
     return {
         "strategy": args.strategy,
@@ -241,14 +230,14 @@ def _cmd_perfect(args, specs: list[ChannelSpec], file_p1: float | None) -> dict:
         "method": verdict.method,
         "certificate": None if verdict.certificate is None else
             _complex_vector(verdict.certificate),
-        "residual": _residual(specs, verdict),
+        "residual": _residual(e1, e2, verdict),
     }
 
 
 def _cmd_oracle(args, specs: list[ChannelSpec], file_p1: float | None) -> dict:
     priors = _priors(file_p1, args.p1)
     _require_qubits(specs, "oracle")
-    e1, e2 = specs[0].to_kraus(), specs[1].to_kraus()
+    e1, e2 = specs[0].kraus, specs[1].kraus
     estimate = sampled_min_error(e1, e2, priors, args.n, args.entangled, args.seed)
     body = {
         "p1": priors.p1,
@@ -259,7 +248,7 @@ def _cmd_oracle(args, specs: list[ChannelSpec], file_p1: float | None) -> dict:
         "entangled": estimate.entangled,
     }
     if not args.entangled:
-        analytic = min_error_probability(specs[0].to_affine(), specs[1].to_affine(), priors)
+        analytic = min_error_probability(specs[0].affine, specs[1].affine, priors)
         body["analytic_p_error"] = analytic.p_error
         body["gap"] = estimate.p_error_estimate - analytic.p_error
     return body
@@ -268,7 +257,7 @@ def _cmd_oracle(args, specs: list[ChannelSpec], file_p1: float | None) -> dict:
 def _cmd_simulate(args, specs: list[ChannelSpec], file_p1: float | None) -> dict:
     priors = _priors(file_p1, args.p1)
     _require_qubits(specs, "simulate")
-    analytic = min_error_probability(specs[0].to_affine(), specs[1].to_affine(), priors)
+    analytic = min_error_probability(specs[0].affine, specs[1].affine, priors)
     if args.input == "optimal":
         if analytic.regime == REGIME_GUESS_PRIOR:
             raise CliInputError(
@@ -286,7 +275,7 @@ def _cmd_simulate(args, specs: list[ChannelSpec], file_p1: float | None) -> dict
             raise CliInputError(
                 "--input Bloch vector must be a unit 3-vector (a pure probe state)")
     psi = bloch_to_ket(bloch)
-    e1, e2 = specs[0].to_kraus(), specs[1].to_kraus()
+    e1, e2 = specs[0].kraus, specs[1].kraus
     empirical = simulate_experiment(e1, e2, priors, psi, args.trials, args.seed)
     reference = helstrom_error_at(e1, e2, priors, psi)
     sigma = np.sqrt(max(reference * (1.0 - reference), 0.0) / args.trials)
@@ -308,7 +297,7 @@ def _cmd_convert(args, specs: list[ChannelSpec], file_p1: float | None) -> dict:
     if len(specs) not in (1, 2):
         raise CliInputError(f"expected one or two channels, got {len(specs)}")
     _require_qubits(specs, "convert")
-    body = {"channels": [_affine_payload(spec.to_affine()) for spec in specs]}
+    body = {"channels": [_affine_payload(spec.affine) for spec in specs]}
     if file_p1 is not None:
         body["p1"] = file_p1
     return body

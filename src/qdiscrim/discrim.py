@@ -20,7 +20,6 @@ from .sphereopt import maximize_on_sphere
 REGIME_GUESS_PRIOR = "guess_prior"
 REGIME_MEASURE = "measure"
 
-_AXES = ("x", "y", "z")
 _AXIS_VECTORS = (np.array([1.0, 0.0, 0.0]),
                  np.array([0.0, 1.0, 0.0]),
                  np.array([0.0, 0.0, 1.0]))
@@ -111,14 +110,6 @@ def pauli_closed_form(q1, q2, priors: PriorPair) -> DiscriminationResult:
     axis = int(np.argmax(np.abs(entries)))
     reach = float(np.abs(entries)[axis])
     return _verdict(priors.bias, reach, priors, _AXIS_VECTORS[axis].copy())
-
-
-def optimal_pauli_axis(q1, q2, priors: PriorPair) -> str | None:
-    """Name of the optimal probe axis, or None in the guess-prior regime."""
-    result = pauli_closed_form(q1, q2, priors)
-    if result.regime == REGIME_GUESS_PRIOR:
-        return None
-    return _AXES[int(np.argmax(result.optimal_bloch))]
 
 
 def pauli_sacchi_form(q1, q2, priors: PriorPair) -> float:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -13,6 +13,7 @@ from qdiscrim.channels import (
     PAULI_Y,
     PAULI_Z,
     PAULIS,
+    affine_to_kraus,
     bloch_to_density,
     density_to_bloch,
     gpc_basis,
@@ -171,8 +172,10 @@ def test_named_channel_kraus_vs_affine_on_samples():
 def test_named_channel_rejections():
     with pytest.raises(UnknownName):
         named_channel("shear", 0.5)
-    with pytest.raises(ParamOutOfRange):
-        named_channel("bit_flip", 1.2)
+    for param in (1.2, np.nan, None, "0.5", True):
+        with pytest.raises(ParamOutOfRange, match="must be a number in"):
+            named_channel("bit_flip", param)
+    named_channel("bit_flip", np.float64(0.5))
 
 
 def test_affine_channel_rejects_expanding_maps():
@@ -238,6 +241,47 @@ def test_choi_check_accepts_exactly_the_qubit_channels(ch, entries, scale):
     aff = kraus_to_affine(ch)
     assert _check_choi_verdict(aff.m, aff.c)
     _check_choi_verdict(scale * entries[:, :3], scale * entries[:, 3])
+
+
+_IDENTITY_ENTRIES = np.hstack([np.eye(3), np.zeros((3, 1))])
+
+
+@settings(deadline=None)
+@given(kraus_channels(), arrays(np.float64, (3, 4), elements=st.floats(-1.0, 1.0)),
+       st.sampled_from([0.0, 1e-10, 1e-9, 3e-9, 1e-3, 0.3, 1.0]))
+# (1 + 1.99e-9) I has three Choi eigenvalues at -9.95e-10, inside the tolerance.
+@example(named_channel("bit_flip", 1.0), _IDENTITY_ENTRIES, 1.99e-9)
+@example(named_channel("bit_flip", 1.0), -_IDENTITY_ENTRIES, 1.99e-9)
+def test_affine_to_kraus_reads_back_every_accepted_map(ch, noise, size):
+    # A channel's map, pushed off it by up to `size`: near the CP boundary for small sizes.
+    aff = kraus_to_affine(ch)
+    m, c = aff.m + size * noise[:, :3], aff.c + size * noise[:, 3]
+    try:
+        aff = AffineChannel(m, c)
+    except BlochBallViolation:
+        return
+    back = kraus_to_affine(affine_to_kraus(aff))
+    assert np.max(np.abs(back.m - m)) <= 1e-8
+    assert np.max(np.abs(back.c - c)) <= 1e-8
+
+
+@settings(deadline=None)
+@given(kraus_channels())
+def test_affine_to_kraus_round_trip_is_exact_on_channels(ch):
+    aff = kraus_to_affine(ch)
+    back = kraus_to_affine(affine_to_kraus(aff))
+    assert np.max(np.abs(back.m - aff.m)) <= 1e-12
+    assert np.max(np.abs(back.c - aff.c)) <= 1e-12
+
+
+def test_affine_to_kraus_reads_a_unitary_as_one_operator(rng):
+    for _ in range(20):
+        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        u = np.linalg.qr(z)[0]
+        ops = affine_to_kraus(kraus_to_affine(KrausChannel([u]))).ops
+        assert ops.shape == (1, 2, 2)
+        # Equal to u up to a global phase.
+        assert abs(abs(np.trace(u.conj().T @ ops[0])) - 2.0) <= 1e-12
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_kraus_channel
+from golden.record import complex_json
 from qdiscrim import cli
+from qdiscrim.channels import kraus_to_affine
 from qdiscrim.cli import EXIT_DIMENSION, EXIT_INPUT, EXIT_OK, EXIT_SEMANTIC, main
 
 
@@ -102,11 +109,17 @@ def test_pe_pauli_reports_both_forms(tmp_path, capsys):
 
 
 def test_pe_pauli_tie_broken_to_x(tmp_path, capsys):
+    # identity vs sigma_z ties the x and y rows at 1; x wins.
     path = write_spec(tmp_path, [{"kind": "pauli", "q": [1, 0, 0, 0]},
                                  {"kind": "pauli", "q": [0, 0, 0, 1]}])
     _, report = run(capsys, ["pe-pauli", path])
     assert report["p_error_closed_form"] == pytest.approx(0.0, abs=1e-15)
     assert report["optimal_axis"] == "x"
+    # Identical channels tie the reach with the bias; that tie guesses the prior.
+    path = write_spec(tmp_path, [{"kind": "pauli", "q": [1, 0, 0, 0]}] * 2, name="same.json")
+    _, report = run(capsys, ["pe-pauli", path])
+    assert report["regime"] == "guess_prior"
+    assert report["optimal_axis"] is None
 
 
 def test_pe_pauli_rejects_other_kinds(tmp_path, capsys):
@@ -242,11 +255,20 @@ def test_convert_round_trip_is_bit_identical(tmp_path, capsys):
         assert direct[key] == via_affine[key]
 
 
-def test_affine_kind_has_no_kraus_form(tmp_path, capsys):
-    affine = {"kind": "affine", "m": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "c": [0, 0, 0]}
-    path = write_spec(tmp_path, [affine, affine])
-    code, _ = run(capsys, ["oracle", path, "--n", "10"])
-    assert code == EXIT_INPUT
+def test_affine_specs_run_under_every_subcommand(tmp_path, capsys):
+    identity = {"kind": "affine", "m": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "c": [0, 0, 0]}
+    path = write_spec(tmp_path, [identity, identity])
+    code, report = run(capsys, ["oracle", path, "--n", "10"])
+    assert code == EXIT_OK and report["p_error_estimate"] == pytest.approx(0.5, abs=1e-12)
+    code, report = run(capsys, ["perfect", path])
+    assert code == EXIT_OK and report["verdict"] == "no"
+    # Guessing the prior is optimal, so there is no optimal probe to simulate ...
+    code, _ = run(capsys, ["simulate", path, "--p1", "0.7"])
+    assert code == EXIT_SEMANTIC
+    # ... but a given probe can be.
+    code, report = run(capsys, ["simulate", path, "--input", "1,0,0", "--trials", "100"])
+    assert code == EXIT_OK
+    assert report["input_bloch"] == [1.0, 0.0, 0.0] and report["analytic_error"] == 0.5
 
 
 def test_invalid_spec_is_anchored(tmp_path, capsys):
@@ -316,7 +338,6 @@ def test_non_finite_prior_and_probe_are_input_errors(tmp_path, capsys):
 TRANSPOSE_MAP = {"kind": "affine", "m": [[1, 0, 0], [0, -1, 0], [0, 0, 1]], "c": [0, 0, 0]}
 NON_UNITARY = {"kind": "unitary", "matrix": [[[1, 0], [0.5, 0]], [[0, 0], [1, 0]]]}
 GPC3 = {"kind": "gpc", "d": 3, "q": [1.0] + [0.0] * 8}
-IDENTITY_AFFINE = {"kind": "affine", "m": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "c": [0, 0, 0]}
 
 # One row per raise site in cli.py, plus main's handler for solver errors:
 # (argv after the file, file contents, exit code, channel index named on stderr or None).
@@ -327,17 +348,26 @@ ERROR_EXITS = {
     "no_channels_list": (["pe"], {"chans": []}, EXIT_INPUT, None),
     "channel_count": (["pe"], {"channels": [NAMED_IDENT]}, EXIT_INPUT, None),
     "bool_p1": (["pe"], {"channels": [NAMED_IDENT, NAMED_DEP1], "p1": True}, EXIT_INPUT, None),
+    # A NaN prior has no strict JSON form, so convert cannot pass it on.
+    "nan_p1": (["convert"], {"channels": [NAMED_IDENT], "p1": float("nan")}, EXIT_INPUT, None),
+    "huge_p1": (["pe"], {"channels": [NAMED_IDENT, NAMED_DEP1], "p1": 10 ** 400}, EXIT_INPUT, None),
     "spec_not_object": (["pe"], {"channels": [NAMED_IDENT, 3]}, EXIT_INPUT, 1),
     "unknown_kind": (["pe"], {"channels": [{"kind": "shear"}, NAMED_IDENT]}, EXIT_INPUT, 0),
     "kraus_without_ops": (["pe"], {"channels": [{"kind": "kraus"}, NAMED_IDENT]}, EXIT_INPUT, 0),
     "malformed_complex": (["pe"], {"channels": [{"kind": "kraus", "ops": [[[["a", 0]]]]},
                                                 NAMED_IDENT]}, EXIT_INPUT, 0),
+    "huge_entry": (["pe"], {"channels": [NAMED_IDENT, {"kind": "pauli",
+                                                       "q": [10 ** 400, 0, 0, 0]}]}, EXIT_INPUT, 1),
     "not_complex_pairs": (["perfect"], {"channels": [UNITARY_X, {
         "kind": "unitary", "matrix": [[1, 0], [0, 1]]}]}, EXIT_INPUT, 1),
     "fractional_d": (["convert"], {"channels": [{"kind": "gpc", "d": 2.7, "q": [1, 0, 0, 0]}]},
                      EXIT_INPUT, 0),
     "missing_param": (["pe"], {"channels": [NAMED_IDENT, {"kind": "named", "name": "bit_flip"}]},
                       EXIT_INPUT, 1),
+    "string_param": (["pe"], {"channels": [NAMED_IDENT, {"kind": "named", "name": "bit_flip",
+                                                         "param": "0.5"}]}, EXIT_INPUT, 1),
+    "bool_param": (["pe"], {"channels": [{"kind": "named", "name": "bit_flip", "param": True},
+                                         NAMED_IDENT]}, EXIT_INPUT, 0),
     "invalid_distribution": (["pe-pauli"], {"channels": [PAULI_A, {
         "kind": "pauli", "q": [0.5, 0.5, 0.5, 0.5]}]}, EXIT_INPUT, 1),
     "non_cp_affine": (["pe"], {"channels": [TRANSPOSE_MAP, NAMED_IDENT]}, EXIT_INPUT, 0),
@@ -345,10 +375,8 @@ ERROR_EXITS = {
     "gpc_without_basis": (["perfect"], {"channels": [{"kind": "gpc", "d": 5, "q": [1] + [0] * 24},
                                                      GPC3]}, EXIT_DIMENSION, 0),
     "qutrit_pe": (["pe"], {"channels": [GPC3, GPC3]}, EXIT_DIMENSION, None),
-    "pe_pauli_kinds": (["pe-pauli"], {"channels": [PAULI_A, NAMED_IDENT]}, EXIT_INPUT, None),
+    "pe_pauli_kinds": (["pe-pauli"], {"channels": [PAULI_A, NAMED_IDENT]}, EXIT_INPUT, 1),
     "perfect_dimensions_differ": (["perfect"], {"channels": [UNITARY_X, GPC3]}, EXIT_INPUT, None),
-    "affine_under_oracle": (["oracle", "--n", "10"], {"channels": [IDENTITY_AFFINE] * 2},
-                            EXIT_INPUT, None),
     "simulate_guess_prior": (["simulate", "--p1", "0.7"], {"channels": [NAMED_IDENT] * 2},
                              EXIT_SEMANTIC, None),
     "input_not_numbers": (["simulate", "--input", "abc"], {"channels": [NAMED_IDENT, NAMED_DEP1]},
@@ -373,5 +401,80 @@ def test_every_error_exit_writes_one_located_line(tmp_path, capsys, name):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "not supported between" not in lines[0]
     if index is not None:
         assert f"channels[{index}]" in lines[0]
+
+
+# Values that no field accepts, or that only some do: wrong types, NaN, overflow.
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.integers(-3, 30),
+                  st.floats(-2.0, 2.0), st.lists(st.floats(-2.0, 2.0), max_size=4),
+                  st.sampled_from([float("nan"), float("inf"), 1e308, 10 ** 400]))
+_SUBCOMMANDS = (["pe"], ["pe-pauli"], ["perfect", "--restarts", "2"],
+                ["perfect", "--strategy", "entangled", "--restarts", "2"],
+                ["oracle", "--n", "8"], ["oracle", "--n", "8", "--entangled"],
+                ["simulate", "--trials", "20"], ["simulate", "--trials", "20", "--input", "0,0,1"],
+                ["convert"])
+
+
+_KINDS = ("kraus", "unitary", "named", "pauli", "gpc", "affine")
+
+
+@st.composite
+def _specs(draw, kinds=_KINDS):
+    """A well-formed spec of one of the kinds, then maybe one field deleted or spoiled."""
+    kind = draw(st.sampled_from(kinds))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.sampled_from([2, 2, 3]))
+    if kind in ("kraus", "unitary"):
+        ops = random_kraus_channel(rng, dim, 1 if kind == "unitary" else None).ops
+        spec = {"ops": complex_json(ops)} if kind == "kraus" else {"matrix": complex_json(ops[0])}
+    elif kind == "named":
+        spec = {"name": draw(st.sampled_from(["bit_flip", "amplitude_damping", "depolarizing"])),
+                "param": draw(st.floats(0.0, 1.0))}
+    elif kind in ("pauli", "gpc"):
+        d = 2 if kind == "pauli" else draw(st.integers(2, 5))
+        spec = {"q": rng.dirichlet(np.ones(d * d)).tolist(), **({"d": d} if kind == "gpc" else {})}
+    else:
+        aff = kraus_to_affine(random_kraus_channel(rng))
+        scale = draw(st.sampled_from([1.0, 1.0, 1.5]))
+        spec = {"m": (scale * aff.m).tolist(), "c": (scale * aff.c).tolist()}
+    spec["kind"] = kind
+    if rng.random() < 0.25:
+        field = draw(st.sampled_from(sorted(spec)))
+        if draw(st.booleans()):
+            del spec[field]
+        else:
+            spec[field] = draw(_JUNK)
+    return spec
+
+
+@st.composite
+def _spec_files(draw):
+    """Mostly two channels, often of one kind, and no prior or a valid one,
+    so that most runs get past parsing."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = (rng.choice(_KINDS),) if rng.random() < 0.5 else _KINDS
+    doc = {"channels": [draw(_specs(kinds)) for _ in range(rng.choice([2, 2, 2, 2, 1, 3]))]}
+    prior = rng.choice(["none", "none", "valid", "junk"])
+    if prior != "none":
+        doc["p1"] = draw(st.floats(0.0, 1.0) if prior == "valid" else _JUNK)
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spec_files(), st.sampled_from(_SUBCOMMANDS))
+def test_cli_exit_contract_on_fuzzed_spec_files(tmp_path_factory, doc, argv):
+    path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([argv[0], str(path), *argv[1:]])
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_DIMENSION, EXIT_SEMANTIC)
+    if code == EXIT_OK:
+        assert isinstance(json.loads(out.getvalue(), parse_constant=_reject_constant), dict)
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

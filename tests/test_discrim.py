@@ -21,7 +21,6 @@ from qdiscrim.discrim import (
     PriorPair,
     helstrom_trace_norm,
     min_error_probability,
-    optimal_pauli_axis,
     pauli_closed_form,
     pauli_sacchi_form,
 )
@@ -139,8 +138,10 @@ def test_pauli_closed_form_examples():
 
 def test_pauli_axis_tie_breaking():
     # identity vs sigma_z ties the x and y rows at 1; x wins.
-    assert optimal_pauli_axis([1, 0, 0, 0], [0, 0, 0, 1], HALF) == "x"
-    assert optimal_pauli_axis([1, 0, 0, 0], [1, 0, 0, 0], HALF) is None
+    result = pauli_closed_form([1, 0, 0, 0], [0, 0, 0, 1], HALF)
+    np.testing.assert_array_equal(result.optimal_bloch, [1.0, 0.0, 0.0])
+    result = pauli_closed_form([1, 0, 0, 0], [1, 0, 0, 0], HALF)
+    assert result.optimal_bloch is None
 
 
 def test_pauli_sacchi_form_examples():

@@ -9,7 +9,8 @@ maximiser will do.  A certificate must still certify, with residual
 below 1e-8.  A
 recorded verdict that contradicts the answer its pair was built with
 is a defect of the recording commit; there the replay must give the
-built answer.
+built answer.  Every qubit case is also fed through `convert`, and
+`oracle` and `perfect` must answer the same on the converted file.
 """
 
 import json
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from golden.record import CORPUS, run_case
+from qdiscrim.channels import AffineChannel, affine_to_kraus, kraus_to_affine
 
 TOL = 1e-12
 
@@ -117,3 +119,63 @@ def test_corpus_covers_every_path():
     assert {method for method, _ in methods} == {
         "unitary_polygon", "qubit_bloch_exhaustion", "gpc_orthogonality"}
     assert {verdict for _, verdict in methods} == {"yes", "no"}
+
+
+def _dim(channel) -> int:
+    if channel["kind"] == "gpc":
+        return channel["d"]
+    if channel["kind"] in ("kraus", "unitary"):
+        return len(channel.get("matrix") or channel["ops"][0])
+    return 2
+
+
+QUBIT_CASES = [case for case in CASES if all(_dim(ch) == 2 for ch in case["spec"]["channels"])]
+
+
+def _report(case, argv, spec, workdir):
+    return run_case({"name": case["name"], "argv": argv, "spec": spec}, workdir)
+
+
+def _with_converted(workdir, command):
+    """(case, spec file that `convert` wrote for it) for the qubit cases of one command."""
+    for case in QUBIT_CASES:
+        if case["argv"][0] == command:
+            yield case, _report(case, ["convert"], case["spec"], workdir)
+
+
+def test_affine_readout_round_trip_on_corpus():
+    affines = [channel for case in CASES for channel in case["spec"]["channels"]
+               if channel["kind"] == "affine"]
+    assert len(affines) == 10
+    for channel in affines:
+        m, c = np.array(channel["m"]), np.array(channel["c"])
+        back = kraus_to_affine(affine_to_kraus(AffineChannel(m, c)))
+        assert _close(back.m, m) and _close(back.c, c)
+
+
+@pytest.mark.parametrize("command", ["pe", "pe-pauli", "perfect"])
+def test_oracle_on_converted_files_matches_the_originals(workdir, command):
+    # Helstrom errors depend on the channel, not on the Kraus operators that give it.
+    argv = ["oracle", "--n", "16", "--seed", "5"]
+    failures = []
+    for case, converted in _with_converted(workdir, command):
+        old = _report(case, argv, case["spec"], workdir)
+        new = _report(case, argv, converted, workdir)
+        if any(abs(new[key] - old[key]) > TOL for key in ("p_error_estimate", "analytic_p_error")):
+            failures.append(case["name"])
+    assert not failures, failures
+
+
+@pytest.mark.parametrize("strategy", ["product", "entangled"])
+def test_perfect_on_converted_files_keeps_the_verdicts(workdir, strategy):
+    # An affine spec carries no Pauli form, so an entangled GPC `no` may become `unknown`.
+    argv = ["perfect", "--strategy", strategy, "--restarts", "4"]
+    pairs = list(_with_converted(workdir, "perfect"))
+    assert len(pairs) == 52
+    failures = []
+    for case, converted in pairs:
+        old = _report(case, argv, case["spec"], workdir)["verdict"]
+        new = _report(case, argv, converted, workdir)["verdict"]
+        if (old != new) if strategy == "product" else ({old, new} == {"yes", "no"}):
+            failures.append((case["name"], old, new))
+    assert not failures, failures
