@@ -182,7 +182,9 @@ def named_channel(name: str, param: float) -> KrausChannel:
     real = (int, float, np.integer, np.floating)
     if isinstance(param, bool) or not isinstance(param, real) or not 0.0 <= param <= 1.0:
         raise ParamOutOfRange(f"channel parameter must be a number in [0, 1], got {param!r}")
-    p = param
+    # A float32 or float16 param would keep its precision through np.sqrt, and
+    # the Kraus operators would then fail the 1e-9 completeness check.
+    p = float(param)
     if name == "bit_flip":
         ops = [np.sqrt(p) * PAULI_I, np.sqrt(1.0 - p) * PAULI_X]
     elif name == "phase_flip":

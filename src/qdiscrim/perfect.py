@@ -40,6 +40,9 @@ METHOD_NUMERIC_SEARCH = "numeric_search"
 
 _RANK_TOL = 1e-10
 _LOSS_SUCCESS = 1e-16
+# Restarts advanced together by the numeric search: the default `restarts`.
+# A larger `restarts` runs in blocks of this size, which bounds the memory.
+_RESTART_BLOCK = 16
 _CHAR_ORTHOGONALITY_TOL = 1e-12
 
 
@@ -193,43 +196,63 @@ def gpc_perfect_entangled(g1: GpcChannel, g2: GpcChannel) -> PerfectVerdict:
 
 
 def _expectations(stack: np.ndarray, psi: np.ndarray
-                  ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """<psi|K_m|psi>, the loss sum |<psi|K_m|psi>|^2, K_m psi and K_m^dag psi."""
-    expectations = np.einsum("i,mij,j->m", psi.conj(), stack, psi)
-    loss = float(np.sum(np.abs(expectations) ** 2))
-    forward = stack @ psi
-    backward = np.einsum("mji,j->mi", stack.conj(), psi)
-    return expectations, loss, forward, backward
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of psi (R, dim): <psi|K_m|psi>, the loss sum_m |<psi|K_m|psi>|^2,
+    K_m psi and (K_m^dag psi)^*."""
+    forward = np.einsum("mij,rj->rmi", stack, psi)
+    backward_conj = np.einsum("rj,mji->rmi", psi.conj(), stack)
+    expectations = np.einsum("ri,rmi->rm", psi.conj(), forward)
+    loss = np.sum(np.abs(expectations) ** 2, axis=1)
+    return expectations, loss, forward, backward_conj
 
 
-def _gauss_newton(stack: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, float]:
-    """At most 12 Gauss-Newton steps on the residuals (Re, Im of each expectation).
+def _gauss_newton(stack: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """At most 12 Gauss-Newton steps on each row's residuals (Re, Im of each expectation).
 
-    Each step solves the linearised residuals in the least-squares sense
-    and renormalises psi.  Returns the final iterate if it improved on
-    the start, else the start.
+    The rows of psi (R, dim) advance in lockstep.  Each step solves every
+    live row's linearised residuals for the minimum-norm least-squares
+    update, from one stacked SVD, and renormalises the row.  A row
+    freezes once its loss is below 1e-20 or its update has a non-finite
+    or vanishing norm.  Rows after the first frozen row that succeeded
+    freeze with it, since the search reads only that row.  Returns, per
+    row, the final iterate if it improved on the start, else the start.
     """
-    dim = psi.size
+    dim = psi.shape[1]
     start = psi
-    expectations, loss, forward, backward = _expectations(stack, psi)
+    expectations, loss, forward, backward_conj = _expectations(stack, psi)
     start_loss = loss
+    psi, loss = psi.copy(), loss.copy()
+    live = np.ones(len(psi), dtype=bool)
     for _ in range(12):
-        if loss < _LOSS_SUCCESS * 1e-4:
+        live &= loss >= _LOSS_SUCCESS * 1e-4
+        succeeded = np.flatnonzero(~live & (np.minimum(loss, start_loss) < _LOSS_SUCCESS))
+        if succeeded.size:
+            live[succeeded[0]:] = False
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
             break
-        plus = backward.conj() + forward
-        minus = backward.conj() - forward
-        jac = np.block([[plus.real, -minus.imag], [plus.imag, minus.real]])
-        resid = np.concatenate([expectations.real, expectations.imag])
-        update, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
-        cand = psi + update[:dim] + 1j * update[dim:]
-        norm = float(np.linalg.norm(cand))
-        if not np.isfinite(norm) or norm < 1e-300:
-            break
-        psi = cand / norm
-        expectations, loss, forward, backward = _expectations(stack, psi)
-    if loss < start_loss:
-        return psi, loss
-    return start, start_loss
+        plus = backward_conj[rows] + forward[rows]
+        minus = backward_conj[rows] - forward[rows]
+        jac = np.concatenate([np.concatenate([plus.real, -minus.imag], axis=2),
+                              np.concatenate([plus.imag, minus.real], axis=2)], axis=1)
+        resid = np.concatenate([expectations[rows].real, expectations[rows].imag], axis=1)
+        # Minimum-norm solution with lstsq's default cutoff: singular values
+        # up to eps * max(jac.shape) * s_max count as zero.
+        left, sing, right = np.linalg.svd(jac, full_matrices=False)
+        cutoff = np.finfo(float).eps * max(jac.shape[1:]) * sing[:, :1]
+        inverse = np.divide(1.0, sing, out=np.zeros_like(sing), where=sing > cutoff)
+        coeffs = np.einsum("rmk,rm->rk", left, -resid) * inverse
+        update = np.einsum("rkj,rk->rj", right, coeffs)
+        cand = psi[rows] + update[:, :dim] + 1j * update[:, dim:]
+        norm = np.linalg.norm(cand, axis=1)
+        moved = np.isfinite(norm) & (norm >= 1e-300)
+        live[rows[~moved]] = False
+        rows = rows[moved]
+        psi[rows] = cand[moved] / norm[moved, None]
+        (expectations[rows], loss[rows], forward[rows],
+         backward_conj[rows]) = _expectations(stack, psi[rows])
+    improved = loss < start_loss
+    return np.where(improved[:, None], psi, start), np.where(improved, loss, start_loss)
 
 
 def numeric_isotropic_search(ops, entangled: bool, seed: int = 0,
@@ -238,7 +261,9 @@ def numeric_isotropic_search(ops, entangled: bool, seed: int = 0,
 
     Minimizes sum |<psi|K|psi>|^2 over unit psi (operators tensored with
     the identity when entangled) by Gauss-Newton iteration from each of
-    `restarts` independent seeded starts.
+    `restarts` independent seeded starts.  The restarts run as one
+    stacked iteration, in blocks of 16 taken in index order, and the
+    first successful restart in index order gives the certificate.
     Returns yes with a certificate when the loss drops below 1e-16 and
     unknown otherwise; it never returns no.
     """
@@ -251,12 +276,15 @@ def numeric_isotropic_search(ops, entangled: bool, seed: int = 0,
     stack = np.stack(mats)
     dim = stack.shape[1]
     strategy = STRATEGY_ENTANGLED if entangled else STRATEGY_PRODUCT
-    for index in range(restarts):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index,))))
-        raw = rng.standard_normal(2 * dim)
-        psi = raw[0::2] + 1j * raw[1::2]
-        psi = psi / np.linalg.norm(psi)
-        psi, loss = _gauss_newton(stack, psi)
-        if loss < _LOSS_SUCCESS:
-            return PerfectVerdict(YES, strategy, _fix_phase(psi), METHOD_NUMERIC_SEARCH)
+    for first in range(0, restarts, _RESTART_BLOCK):
+        starts = []
+        for index in range(first, min(first + _RESTART_BLOCK, restarts)):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index,))))
+            raw = rng.standard_normal(2 * dim)
+            psi = raw[0::2] + 1j * raw[1::2]
+            starts.append(psi / np.linalg.norm(psi))
+        psi, loss = _gauss_newton(stack, np.stack(starts))
+        succeeded = np.flatnonzero(loss < _LOSS_SUCCESS)
+        if succeeded.size:
+            return PerfectVerdict(YES, strategy, _fix_phase(psi[succeeded[0]]), METHOD_NUMERIC_SEARCH)
     return PerfectVerdict(UNKNOWN, strategy, None, METHOD_NUMERIC_SEARCH)

@@ -178,6 +178,17 @@ def test_named_channel_rejections():
     named_channel("bit_flip", np.float64(0.5))
 
 
+@pytest.mark.parametrize("name", ["bit_flip", "phase_flip", "bit_phase_flip",
+                                  "depolarizing", "phase_damping", "amplitude_damping"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+def test_named_channel_accepts_narrow_float_params(name, dtype):
+    for value in (0.0, 0.3, 0.5, 0.7, 1.0):
+        param = dtype(value)
+        got = named_channel(name, param)
+        want = named_channel(name, float(param))
+        assert all(np.array_equal(a, b) for a, b in zip(got.ops, want.ops, strict=True))
+
+
 def test_affine_channel_rejects_expanding_maps():
     with pytest.raises(BlochBallViolation):
         AffineChannel(1.5 * np.eye(3))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdiscrim.channels import (
@@ -118,6 +118,40 @@ def test_result_invariants(rng):
         # symmetry under swapping channels and priors
         mirrored = min_error_probability(e2, e1, PriorPair(priors.p2, priors.p1))
         assert mirrored.p_error == res.p_error
+
+
+def _random_pair_and_priors(seed, p1):
+    from conftest import random_kraus_channel
+    rng = np.random.default_rng(seed)
+    return rng, random_kraus_channel(rng), random_kraus_channel(rng), PriorPair.from_p1(p1)
+
+
+def _p_error(ops1, ops2, priors):
+    e1, e2 = (kraus_to_affine(KrausChannel(ops)) for ops in (ops1, ops2))
+    return min_error_probability(e1, e2, priors).p_error
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_unitary_covariance(seed, p1):
+    # Conjugating both channels by one unitary U rotates the optimal probe and
+    # measurement with it: P_E is unchanged.
+    rng, e1, e2, priors = _random_pair_and_priors(seed, p1)
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    u, _ = np.linalg.qr(z)
+    conjugated = [u @ e.ops @ u.conj().T for e in (e1, e2)]
+    assert abs(_p_error(*conjugated, priors) - _p_error(e1.ops, e2.ops, priors)) <= 1e-12
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_data_processing(seed, p1):
+    # A common channel N after both cannot make them easier to tell apart.
+    from conftest import random_kraus_channel
+    rng, e1, e2, priors = _random_pair_and_priors(seed, p1)
+    common = random_kraus_channel(rng).ops
+    processed = [np.einsum("aij,bjk->abik", common, e.ops).reshape(-1, 2, 2) for e in (e1, e2)]
+    assert _p_error(*processed, priors) >= _p_error(e1.ops, e2.ops, priors) - 1e-12
 
 
 def test_pauli_closed_form_examples():

@@ -225,6 +225,61 @@ def test_numeric_search_deterministic():
     assert np.array_equal(a.certificate, b.certificate)
 
 
+def _search_parity_corpus():
+    """(seed, e1, e2): Haar unitary pairs (d = 3, 4), random Kraus and GPC pairs (d = 2, 3)."""
+    from conftest import random_kraus_channel
+    rng = np.random.default_rng(20261037)
+    pairs = []
+    for d in (3, 4):
+        u1, v = _haar_unitary(rng, d), _haar_unitary(rng, d)
+        pairs.append((KrausChannel([u1]), KrausChannel([_haar_unitary(rng, d)])))
+        # Two antipodal eigenvalues of U1^dag U2 put the origin on an edge of the
+        # polygon: few starts converge, so the first success can lie past restart 16.
+        angles = np.concatenate([[0.0, np.pi], rng.uniform(0.3, 2.8, d - 2)])
+        pairs.append((KrausChannel([u1]), KrausChannel([u1 @ v @ np.diag(np.exp(1j * angles)) @ v.conj().T])))
+    for d in (2, 3):
+        for _ in range(2):
+            pairs.append((random_kraus_channel(rng, d), random_kraus_channel(rng, d)))
+        support = rng.permutation(d * d)
+        for second in (support[d:], support[1:]):  # disjoint, then overlapping
+            q1, q2 = np.zeros(d * d), np.zeros(d * d)
+            q1[support[:d]] = rng.dirichlet(np.ones(d))
+            q2[second] = rng.dirichlet(np.ones(second.size))
+            pairs.append((gpc_to_kraus(gpc_channel(d, q1)), gpc_to_kraus(gpc_channel(d, q2))))
+    cases = [(seed, e1, e2) for seed, (e1, e2) in enumerate(pairs)]
+    # The edge pairs again, at seeds whose first success is restart 15, the last of
+    # the first block (seed 31, product; seed 15, entangled), or restart 16, the
+    # first of the second (seed 13, entangled; seed 5, product, d = 4).
+    return cases + [(seed, *pairs[k]) for k, seed in ((1, 31), (1, 15), (1, 13), (3, 5))]
+
+
+def test_numeric_search_matches_the_sequential_reference():
+    # The stacked search runs its restarts in blocks of 16; 17 and 40 cross a block boundary.
+    from reference_search import sequential_isotropic_search
+    counts = (1, 3, 16, 17, 40)
+    patterns = []
+    for number, (seed, e1, e2) in enumerate(_search_parity_corpus()):
+        ops = cross_operators(e1, e2)
+        for entangled in (False, True):
+            verdicts = []
+            for restarts in counts:
+                stacked = numeric_isotropic_search(ops, entangled, seed=seed, restarts=restarts)
+                reference = sequential_isotropic_search(ops, entangled, seed=seed, restarts=restarts)
+                case = (number, seed, entangled, restarts)
+                assert stacked.distinguishable == reference.distinguishable, case
+                verdicts.append(stacked.distinguishable)
+                if stacked.distinguishable == YES:
+                    assert np.max(np.abs(stacked.certificate - reference.certificate)) < 1e-9, case
+                    assert _max_cross_term(e1, e2, stacked.certificate) < 1e-8, case
+                else:
+                    assert stacked.certificate is None, case
+            patterns.append(tuple(verdicts))
+    assert patterns.count((YES,) * 5) > 5 and patterns.count((UNKNOWN,) * 5) > 5
+    # First successes late in the first block, at the start of the second, and later in it.
+    for first in (2, 3, 4):
+        assert (UNKNOWN,) * first + (YES,) * (5 - first) in patterns
+
+
 def test_soundness_certificates_reach_zero_error():
     # every yes verdict must produce a state with vanishing Helstrom error
     cases = []
