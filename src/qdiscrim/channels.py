@@ -1,9 +1,9 @@
 """Qubit states and channel representations.
 
-Covers the Bloch-vector / density-matrix correspondence, Kraus
-(operator-sum) channels, their affine Bloch-ball action r -> M r + c,
-the six standard named qubit channels, and mixtures of trace-orthogonal
-unitaries (Pauli channels and their qudit generalization).
+Covers Kraus (operator-sum) channels, their affine Bloch-ball action
+r -> M r + c and the conversion between the two, the six standard named
+qubit channels, and mixtures of trace-orthogonal unitaries (Pauli
+channels and their qudit generalization).
 """
 
 from __future__ import annotations
@@ -30,33 +30,10 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
 _PAULI_STACK = np.stack(PAULIS)
 
-BLOCH_NORM_TOL = 1e-12
 COMPLETENESS_TOL = 1e-9
 _CHOI_TOL = 1e-9
 # Row 4i + j is sigma_j^T (x) sigma_i / 2, so T.ravel() @ _CHOI_BASIS is the Choi matrix.
 _CHOI_BASIS = np.stack([np.kron(sj.T, si) for si in PAULIS for sj in PAULIS]).reshape(16, 16) / 2.0
-
-
-def as_bloch(r) -> np.ndarray:
-    """Return r as a float array, or raise if it is not a Bloch vector.
-
-    Checks, in this order: shape (3,) (ValueError), finite entries
-    (NotFinite) and a norm at most 1 + 1e-12 (ValueError).
-    """
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3,):
-        raise ValueError(f"expected a real 3-vector, got shape {r.shape}")
-    linalg.require_finite(r, "Bloch vector")
-    norm = float(np.linalg.norm(r))
-    if norm > 1.0 + BLOCH_NORM_TOL:
-        raise ValueError(f"Bloch vector norm {norm} exceeds 1")
-    return r
-
-
-def bloch_to_density(r) -> np.ndarray:
-    """Density matrix (I + r . sigma) / 2 of the Bloch vector r."""
-    r = as_bloch(r)
-    return (PAULI_I + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z) / 2.0
 
 
 def bloch_to_ket(r) -> np.ndarray:
@@ -73,26 +50,6 @@ def maximally_entangled(d: int) -> np.ndarray:
     return psi
 
 
-def validate_density(rho) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a density matrix."""
-    rho = linalg.as_complex_matrix(rho)
-    smallest = linalg.hermitian_eig(rho).eigenvalues[-1]
-    trace = complex(np.trace(rho))
-    if abs(trace - 1.0) > 1e-9:
-        raise ValueError(f"density matrix has trace {trace}, expected 1")
-    if smallest < -1e-9:
-        raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")
-    return rho
-
-
-def density_to_bloch(rho) -> np.ndarray:
-    """Bloch vector r_k = Tr(sigma_k rho) of a qubit density matrix."""
-    rho = validate_density(rho)
-    if rho.shape[0] != 2:
-        raise DimensionMismatch(f"Bloch vectors require dimension 2, got {rho.shape[0]}")
-    return np.array([float(np.trace(sigma @ rho).real) for sigma in PAULIS[1:]])
-
-
 class KrausChannel:
     """Trace-preserving operator-sum map rho -> sum_i E_i rho E_i^dagger."""
 
@@ -107,11 +64,6 @@ class KrausChannel:
             raise NotTracePreserving(f"sum E^dag E deviates from identity by {defect:.3e}")
         self.ops = arr
         self.dim = int(arr.shape[1])
-
-    def apply(self, rho) -> np.ndarray:
-        """Evolve a matrix through the operator sum."""
-        rho = np.asarray(rho, dtype=complex)
-        return np.einsum("kij,jl,kml->im", self.ops, rho, self.ops.conj())
 
 
 def _choi_matrix(m: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -130,17 +82,12 @@ class AffineChannel:
 
     def __init__(self, m, c=None):
         m, c = coerce_affine(m, c)
-        linalg.require_finite(m, "affine matrix m")
-        linalg.require_finite(c, "affine offset c")
         smallest = float(np.linalg.eigvalsh(_choi_matrix(m, c))[0])
         if smallest < -_CHOI_TOL:
             raise BlochBallViolation(
                 f"map is not completely positive: its Choi matrix has eigenvalue {smallest:.3e}")
         self.m = m
         self.c = c
-
-    def apply(self, r) -> np.ndarray:
-        return self.m @ np.asarray(r, dtype=float) + self.c
 
 
 def kraus_to_affine(ch: KrausChannel) -> AffineChannel:

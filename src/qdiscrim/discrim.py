@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import AffineChannel, as_bloch
+from .channels import AffineChannel
 from .linalg import require_distribution
 from .sphereopt import maximize_on_sphere
 
@@ -52,16 +52,6 @@ class DiscriminationResult:
     regime: str
     optimal_bloch: np.ndarray | None
     trace_norm_at_opt: float
-
-
-def helstrom_trace_norm(r1, r2, priors: PriorPair) -> float:
-    """||p1 rho1 - p2 rho2||_1 for qubit states with Bloch vectors r1, r2.
-
-    Equals max{|p1 - p2|, ||p1 r1 - p2 r2||}; the Bloch form avoids any
-    eigenvalue computation.
-    """
-    r1, r2 = as_bloch(r1), as_bloch(r2)
-    return max(priors.bias, float(np.linalg.norm(priors.p1 * r1 - priors.p2 * r2)))
 
 
 def _verdict(bias: float, reach: float, priors: PriorPair,

@@ -77,7 +77,8 @@ def require_distribution(q, size: int, what: str) -> np.ndarray:
 
 
 def require_unitary(u: np.ndarray, what: str) -> np.ndarray:
-    """Return the square matrix u unchanged, or raise NotUnitary."""
+    """Return the square matrix u unchanged, or raise NotFinite or NotUnitary."""
+    require_finite(u, what)
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
     if defect > UNITARY_TOL:
         raise NotUnitary(f"{what} deviates from unitary by {defect:.3e}")

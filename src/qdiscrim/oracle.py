@@ -2,9 +2,11 @@
 
 Everything here is deliberately independent of the analytic machinery:
 Helstrom error probabilities are evaluated directly from channel
-outputs (batched spectra via numpy), optimal inputs are approached by
-seeded Haar sampling, and measurement statistics are reproduced by
-Monte Carlo simulation with a counter-based generator.
+outputs, optimal inputs are approached by seeded Haar sampling, and
+measurement statistics are reproduced by Monte Carlo simulation with a
+counter-based generator.  One pipeline serves every probe: a stack of
+pure inputs goes through both channels at once, and a single probe is
+a stack of one.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .channels import KrausChannel, maximally_entangled
 from .discrim import PriorPair
 from .errors import DimensionMismatch, NotNormalized
-from .linalg import trace_norm_hermitian
+from .linalg import require_finite
 
 _NORM_TOL = 1e-9
 
@@ -31,13 +33,6 @@ class OracleEstimate:
     entangled: bool
 
 
-def _extended_ops(channel: KrausChannel, bipartite: bool) -> np.ndarray:
-    if not bipartite:
-        return channel.ops
-    eye = np.eye(channel.dim)
-    return np.stack([np.kron(op, eye) for op in channel.ops])
-
-
 def _check_psi(e1: KrausChannel, e2: KrausChannel, psi) -> tuple[np.ndarray, bool]:
     if e1.dim != e2.dim:
         raise DimensionMismatch(f"channel dimensions differ: {e1.dim} vs {e2.dim}")
@@ -49,19 +44,31 @@ def _check_psi(e1: KrausChannel, e2: KrausChannel, psi) -> tuple[np.ndarray, boo
     else:
         raise DimensionMismatch(
             f"state dimension {psi.size} matches neither {e1.dim} nor {e1.dim ** 2}")
+    require_finite(psi, "input state psi")
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > _NORM_TOL:
         raise NotNormalized(f"state norm is {norm}, expected 1")
     return psi, bipartite
 
 
-def _output_states(e1: KrausChannel, e2: KrausChannel, psi: np.ndarray,
-                   bipartite: bool) -> tuple[np.ndarray, np.ndarray]:
-    outputs = []
-    for channel in (e1, e2):
-        branches = _extended_ops(channel, bipartite) @ psi
-        outputs.append(np.einsum("ki,kj->ij", branches, branches.conj()))
-    return outputs[0], outputs[1]
+def _outputs(channel: KrausChannel, states: np.ndarray, bipartite: bool) -> np.ndarray:
+    """Output states sum_k E_k |psi_n><psi_n| E_k^dag for a stack of pure inputs psi_n.
+
+    Bipartite inputs (dimension d^2) go through channel x identity.
+    """
+    ops = channel.ops
+    if bipartite:
+        ops = np.stack([np.kron(op, np.eye(channel.dim)) for op in ops])
+    branches = np.einsum("kij,nj->kni", ops, states)
+    return np.einsum("kni,knj->nij", branches, branches.conj())
+
+
+def _batched_errors(e1: KrausChannel, e2: KrausChannel, priors: PriorPair,
+                    states: np.ndarray, bipartite: bool) -> np.ndarray:
+    """Helstrom errors (1 - ||p1 rho1 - p2 rho2||_1) / 2 for a stack of pure inputs."""
+    diff = priors.p1 * _outputs(e1, states, bipartite) - priors.p2 * _outputs(e2, states, bipartite)
+    eigs = np.linalg.eigvalsh(diff)
+    return (1.0 - np.sum(np.abs(eigs), axis=1)) / 2.0
 
 
 def helstrom_error_at(e1: KrausChannel, e2: KrausChannel, priors: PriorPair, psi) -> float:
@@ -70,21 +77,7 @@ def helstrom_error_at(e1: KrausChannel, e2: KrausChannel, priors: PriorPair, psi
     A bipartite psi (dimension d^2) is fed through channel x identity.
     """
     psi, bipartite = _check_psi(e1, e2, psi)
-    rho1, rho2 = _output_states(e1, e2, psi, bipartite)
-    return (1.0 - trace_norm_hermitian(priors.p1 * rho1 - priors.p2 * rho2)) / 2.0
-
-
-def _batched_errors(e1: KrausChannel, e2: KrausChannel, priors: PriorPair,
-                    states: np.ndarray, bipartite: bool) -> np.ndarray:
-    """Helstrom errors for a stack of pure inputs, reduced in index order."""
-    diff = None
-    for sign, channel in ((priors.p1, e1), (-priors.p2, e2)):
-        ops = _extended_ops(channel, bipartite)
-        branches = np.einsum("kij,nj->kni", ops, states)
-        rho = np.einsum("kni,knj->nij", branches, branches.conj())
-        diff = sign * rho if diff is None else diff + sign * rho
-    eigs = np.linalg.eigvalsh(diff)
-    return (1.0 - np.sum(np.abs(eigs), axis=1)) / 2.0
+    return float(_batched_errors(e1, e2, priors, psi[None], bipartite)[0])
 
 
 def _axis_states() -> np.ndarray:
@@ -158,7 +151,7 @@ def simulate_experiment(e1: KrausChannel, e2: KrausChannel, priors: PriorPair,
     if trials < 1:
         raise ValueError("need at least one trial")
     psi, bipartite = _check_psi(e1, e2, psi)
-    rho1, rho2 = _output_states(e1, e2, psi, bipartite)
+    rho1, rho2 = _outputs(e1, psi[None], bipartite)[0], _outputs(e2, psi[None], bipartite)[0]
     diff = priors.p1 * rho1 - priors.p2 * rho2
     eigvals, eigvecs = np.linalg.eigh(diff)
     positive = eigvecs[:, eigvals >= -1e-12]

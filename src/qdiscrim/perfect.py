@@ -24,7 +24,13 @@ from .channels import (
     maximally_entangled,
 )
 from .errors import BasisMismatch, DimensionMismatch
-from .linalg import as_complex_matrix, hermitian_eig, hull_origin_weights, require_unitary
+from .linalg import (
+    as_complex_matrix,
+    hermitian_eig,
+    hull_origin_weights,
+    require_finite,
+    require_unitary,
+)
 
 YES = "yes"
 NO = "no"
@@ -269,11 +275,9 @@ def numeric_isotropic_search(ops, entangled: bool, seed: int = 0,
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
-    mats = [as_complex_matrix(op) for op in ops]
+    stack = require_finite(np.stack([as_complex_matrix(op) for op in ops]), "operators")
     if entangled:
-        dim = mats[0].shape[0]
-        mats = [np.kron(op, np.eye(dim)) for op in mats]
-    stack = np.stack(mats)
+        stack = np.stack([np.kron(op, np.eye(stack.shape[1])) for op in stack])
     dim = stack.shape[1]
     strategy = STRATEGY_ENTANGLED if entangled else STRATEGY_PRODUCT
     for first in range(0, restarts, _RESTART_BLOCK):

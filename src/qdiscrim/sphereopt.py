@@ -4,9 +4,11 @@ Stationary points of the Lagrangian satisfy (m^T m) r + m^T c = lam * r.
 In the eigenbasis of A = m^T m (eigenvalues d1 >= d2 >= d3, coordinates
 b = Q^T m^T c) this becomes r_i = b_i / (lam - d_i) together with the
 secular equation sum_i b_i^2 / (lam - d_i)^2 = 1, and the global maximum
-is the unique root with lam >= d1.  When b has no component along the
-top eigenspace (the hard case) the solution may need an eigenspace
-component to reach the sphere.
+is the unique root with lam >= d1.  That one formula, over the nonzero
+b_i, covers every case: when b has no component along the top
+eigenspace (the hard case) and the other components alone stay inside
+the sphere, the root is lam = d1 and the top eigenspace supplies the
+missing norm.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eig
+from .linalg import hermitian_eig, require_finite
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -47,14 +49,17 @@ class SphereMaxResult:
 
 
 def coerce_affine(m, c) -> tuple[np.ndarray, np.ndarray]:
-    """m as a float 3x3 matrix and c as a float 3-vector (zeros when c is None)."""
+    """m as a finite float 3x3 matrix and c as a finite float 3-vector (zeros when c is None).
+
+    Both shapes are checked (ValueError) before the entries (NotFinite).
+    """
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
     c = np.zeros(3) if c is None else np.asarray(c, dtype=float)
     if c.shape != (3,):
         raise ValueError(f"expected a 3-vector offset, got shape {c.shape}")
-    return m, c
+    return require_finite(m, "affine matrix m"), require_finite(c, "affine offset c")
 
 
 def _secular_root(gaps: np.ndarray, b: np.ndarray) -> float:
@@ -96,11 +101,12 @@ def _secular_root(gaps: np.ndarray, b: np.ndarray) -> float:
 def maximize_on_sphere(m, c=None) -> SphereMaxResult:
     """Global maximum of ||m r + c|| over unit vectors r.
 
-    Solves the secular equation exactly; in the hard case (offset
-    orthogonal to the top eigenspace of m^T m) the missing norm is
-    supplied along the top eigenspace.  The returned argmax follows a
-    deterministic sign convention: whenever both signs achieve the
-    maximum, the first component of magnitude > 1e-12 is made positive.
+    Solves the secular equation exactly, by the one formula of the module
+    docstring; in the hard case (offset orthogonal to the top eigenspace
+    of m^T m) the missing norm may be supplied along the top eigenspace.
+    The returned argmax follows a deterministic sign convention: whenever
+    both signs achieve the maximum, the first component of magnitude
+    > 1e-12 is made positive.
     """
     m, c = coerce_affine(m, c)
     gram = m.T @ m
@@ -112,22 +118,16 @@ def maximize_on_sphere(m, c=None) -> SphereMaxResult:
 
     top = gaps < _DEGENERACY_TOL
     hard = float(np.linalg.norm(b[top])) < _HARD_CASE_TOL
-    if not hard:
-        t = _secular_root(gaps, b)
-        u = b / (t + gaps)
-    else:
-        b_eff = np.where(top, 0.0, b)
-        rest = ~top
-        g_limit = float(np.sum(b_eff[rest] ** 2 / gaps[rest] ** 2)) if rest.any() else 0.0
-        u = np.zeros(3)
-        if g_limit >= 1.0:
-            t = _secular_root(gaps, b_eff)
-            u[rest] = b_eff[rest] / (t + gaps[rest])
-        else:
-            t = 0.0
-            u[rest] = b[rest] / gaps[rest]
-            deficit = math.sqrt(max(0.0, 1.0 - float(u @ u)))
-            u[np.flatnonzero(top)[-1]] = deficit
+    if hard:
+        b = np.where(top, 0.0, b)
+    nonzero = b != 0.0
+    # In the hard case the root may sit at t = 0, when the offset alone
+    # stays inside the sphere; the top eigenspace then makes up the norm.
+    stays_inside = hard and float(np.sum(b[nonzero] ** 2 / gaps[nonzero] ** 2)) < 1.0
+    t = 0.0 if stays_inside else _secular_root(gaps, b)
+    u = np.divide(b, t + gaps, out=np.zeros(3), where=nonzero)
+    if stays_inside:
+        u[np.flatnonzero(top)[-1]] = math.sqrt(max(0.0, 1.0 - float(u @ u)))
     r = basis @ u
     norm_r = float(np.linalg.norm(r))
     r = r / norm_r if norm_r > 0.0 else np.array([0.0, 0.0, 1.0])

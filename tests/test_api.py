@@ -1,8 +1,9 @@
 """Guards on the package surface.
 
 Library code holds no runtime asserts, the top-level __all__ is exactly
-the set of names the benchmark workloads call as `qd.<name>`, and every
-function the benchmark tracer wraps still exists.
+the set of names the benchmark workloads call as `qd.<name>`, every
+function the benchmark tracer wraps still exists, and every module-level
+function and class is named by some caller.
 """
 
 import ast
@@ -48,3 +49,21 @@ def test_traced_names_exist():
                for name in names
                if not hasattr(importlib.import_module(f"qdiscrim.{module_name}"), name)]
     assert missing == []
+
+
+def test_every_definition_has_a_caller():
+    # A name counts as used when it appears outside its own definition in
+    # the library, the benchmark or pyproject.toml (the console script).
+    # The re-exports in __init__.py (its imports and __all__) do not count.
+    sources = {path: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    defined = [(path.name, node.name)
+               for path, text in sources.items()
+               for node in ast.parse(text).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert defined
+    corpus = [text for path, text in sources.items() if path.name != "__init__.py"]
+    corpus += [path.read_text(encoding="utf-8") for path in sorted(PERFBENCH.glob("*.py"))]
+    corpus.append((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    unused = [f"{module}:{name}" for module, name in defined
+              if sum(len(re.findall(rf"\b{name}\b", text)) for text in corpus) < 2]
+    assert unused == []

@@ -14,8 +14,6 @@ from qdiscrim.channels import (
     PAULI_Z,
     PAULIS,
     affine_to_kraus,
-    bloch_to_density,
-    density_to_bloch,
     gpc_basis,
     gpc_channel,
     gpc_to_kraus,
@@ -24,7 +22,6 @@ from qdiscrim.channels import (
     named_channel,
     pauli_channel,
     pauli_to_affine,
-    validate_density,
 )
 from qdiscrim.errors import (
     BasisNotOrthogonal,
@@ -41,6 +38,13 @@ from qdiscrim.errors import (
     UnsupportedDimension,
 )
 from qdiscrim.sphereopt import fibonacci_sphere, maximize_on_sphere
+from reference_states import (
+    apply_affine,
+    apply_kraus,
+    bloch_to_density,
+    density_to_bloch,
+    validate_density,
+)
 
 
 def test_bloch_to_density_poles_and_mixed():
@@ -107,8 +111,8 @@ def test_kraus_vs_direct_evolution(rng):
         ch = random_kraus_channel(rng)
         aff = kraus_to_affine(ch)
         for r in samples[::20]:
-            evolved = density_to_bloch(ch.apply(bloch_to_density(r)))
-            np.testing.assert_allclose(evolved, aff.apply(r), atol=1e-9)
+            evolved = density_to_bloch(apply_kraus(ch, bloch_to_density(r)))
+            np.testing.assert_allclose(evolved, apply_affine(aff, r), atol=1e-9)
 
 
 def _affine_by_apply(apply):
@@ -135,7 +139,7 @@ def kraus_channels(draw):
 @given(kraus_channels())
 def test_kraus_to_affine_matches_apply_definition(ch):
     aff = kraus_to_affine(ch)
-    m, c = _affine_by_apply(ch.apply)
+    m, c = _affine_by_apply(lambda rho: apply_kraus(ch, rho))
     assert np.max(np.abs(aff.m - m)) <= 1e-14
     assert np.max(np.abs(aff.c - c)) <= 1e-14
 
@@ -165,8 +169,8 @@ def test_named_channel_kraus_vs_affine_on_samples():
         ch = named_channel(name, 0.3)
         aff = kraus_to_affine(ch)
         for r in fibonacci_sphere(200):
-            evolved = density_to_bloch(ch.apply(bloch_to_density(r)))
-            np.testing.assert_allclose(evolved, aff.apply(r), atol=1e-9)
+            evolved = density_to_bloch(apply_kraus(ch, bloch_to_density(r)))
+            np.testing.assert_allclose(evolved, apply_affine(aff, r), atol=1e-9)
 
 
 def test_named_channel_rejections():
@@ -309,6 +313,12 @@ def test_channels_reject_non_finite_numbers(bad):
         pauli_channel([bad, 0.0, 0.0, 0.0])
     with pytest.raises(NotFinite):
         gpc_channel(3, [bad] + [0.0] * 8)
+    # A non-finite basis passed the unitarity and orthogonality tests, and
+    # pauli_to_affine then read an all-NaN basis as the Pauli one.
+    with pytest.raises(NotFinite, match="basis element"):
+        GpcChannel(2, [0.25] * 4, [np.full((2, 2), bad)] * 4)
+    with pytest.raises(NotFinite, match="basis element"):
+        GpcChannel(2, [0.25] * 4, [PAULI_I, PAULI_X, PAULI_Y, np.diag([1.0, bad])])
 
 
 def test_pauli_to_affine_examples():
@@ -382,4 +392,4 @@ def test_gpc_unitality(rng, d):
     q = rng.dirichlet(np.ones(d * d))
     ch = gpc_to_kraus(gpc_channel(d, q))
     maximally_mixed = np.eye(d) / d
-    np.testing.assert_allclose(ch.apply(maximally_mixed), maximally_mixed, atol=1e-9)
+    np.testing.assert_allclose(apply_kraus(ch, maximally_mixed), maximally_mixed, atol=1e-9)

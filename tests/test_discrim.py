@@ -7,7 +7,6 @@ from qdiscrim.channels import (
     KrausChannel,
     PAULI_I,
     PAULI_X,
-    bloch_to_density,
     gpc_to_kraus,
     kraus_to_affine,
     named_channel,
@@ -19,13 +18,13 @@ from qdiscrim.discrim import (
     REGIME_MEASURE,
     DiscriminationResult,
     PriorPair,
-    helstrom_trace_norm,
     min_error_probability,
     pauli_closed_form,
     pauli_sacchi_form,
 )
 from qdiscrim.errors import InvalidDistribution, NotFinite
 from qdiscrim.linalg import trace_norm_hermitian
+from reference_states import bloch_to_density, helstrom_trace_norm
 
 HALF = PriorPair(0.5, 0.5)
 

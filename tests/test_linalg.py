@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qdiscrim.errors import InvalidDistribution, NotFinite, NotHermitian
+from qdiscrim.errors import InvalidDistribution, NotFinite, NotHermitian, NotUnitary
 from qdiscrim.linalg import (
     hermitian_eig,
     hermiticity_defect,
     hull_contains_origin,
     hull_origin_weights,
     require_distribution,
+    require_unitary,
     trace_norm_hermitian,
 )
 
@@ -101,6 +102,16 @@ def test_eig_rejects_non_finite():
     for bad in (np.nan, np.inf):
         with pytest.raises(NotFinite):
             hermitian_eig(np.array([[1.0, 0.0], [0.0, bad]]))
+
+
+def test_require_unitary_checks_finiteness_first():
+    np.testing.assert_array_equal(require_unitary(np.eye(2), "u"), np.eye(2))
+    # A NaN defect fails the `defect > tol` test, so NaN passed as unitary.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NotFinite, match=r"u must be finite; entry \[1, 0\]"):
+            require_unitary(np.array([[1.0, 0.0], [bad, 1.0]]), "u")
+    with pytest.raises(NotUnitary):
+        require_unitary(np.diag([1.0, 2.0]), "u")
 
 
 def test_require_distribution_checks_in_order():

@@ -17,7 +17,8 @@ from qdiscrim.discrim import (
     min_error_probability,
     pauli_closed_form,
 )
-from qdiscrim.errors import DimensionMismatch, NotNormalized
+from qdiscrim.errors import DimensionMismatch, NotFinite, NotNormalized
+from qdiscrim.linalg import trace_norm_hermitian
 from qdiscrim.oracle import (
     _batched_errors,
     _haar_states,
@@ -25,6 +26,7 @@ from qdiscrim.oracle import (
     sampled_min_error,
     simulate_experiment,
 )
+from reference_states import apply_kraus
 
 HALF = PriorPair(0.5, 0.5)
 IDENT = KrausChannel([PAULI_I])
@@ -46,6 +48,15 @@ def test_helstrom_error_at_validation():
         helstrom_error_at(IDENT, FLIP, HALF, [1, 0, 0])
 
 
+def test_non_finite_probe_is_rejected_by_name():
+    # A NaN norm passes the norm test, and the simulation then ran on NaN outputs.
+    for psi in ([np.nan, np.nan], [1.0, np.inf], [np.nan, 0.0, 0.0, 0.0]):
+        with pytest.raises(NotFinite, match="input state psi"):
+            simulate_experiment(IDENT, FLIP, HALF, psi, 100, 0)
+        with pytest.raises(NotFinite, match="input state psi"):
+            helstrom_error_at(IDENT, FLIP, HALF, psi)
+
+
 def test_helstrom_error_at_bipartite_input():
     maxent = np.array([1, 0, 0, 1]) / np.sqrt(2)
     g1 = gpc_to_kraus(pauli_channel([1, 0, 0, 0]))
@@ -61,6 +72,12 @@ def test_batched_errors_match_single_calls(rng):
     batch = _batched_errors(e1, e2, priors, states, False)
     singles = [helstrom_error_at(e1, e2, priors, psi) for psi in states]
     np.testing.assert_allclose(batch, singles, atol=1e-12)
+    # A fixed probe is a batch of one, so also check against the operator
+    # sum applied to |psi><psi| directly.
+    for psi, error in zip(states, batch):
+        rho = np.outer(psi, psi.conj())
+        diff = priors.p1 * apply_kraus(e1, rho) - priors.p2 * apply_kraus(e2, rho)
+        assert abs(error - (1.0 - trace_norm_hermitian(diff)) / 2.0) < 1e-12
 
 
 def test_haar_states_reproducible_and_prefix_stable():

@@ -13,7 +13,7 @@ from qdiscrim.channels import (
     pauli_channel,
 )
 from qdiscrim.discrim import PriorPair
-from qdiscrim.errors import BasisMismatch, DimensionMismatch, NotUnitary
+from qdiscrim.errors import BasisMismatch, DimensionMismatch, NotFinite, NotUnitary
 from qdiscrim.oracle import helstrom_error_at
 from qdiscrim.perfect import (
     METHOD_GPC_ORTHOGONALITY,
@@ -205,6 +205,14 @@ def test_numeric_search_examples():
     blocked = numeric_isotropic_search([PAULI_I], entangled=False, seed=1, restarts=2)
     assert blocked.distinguishable == UNKNOWN
     assert blocked.certificate is None
+
+
+@pytest.mark.parametrize("entangled", [False, True])
+def test_numeric_search_rejects_non_finite_operators(entangled):
+    # Every loss was NaN, so no restart succeeded and the answer was unknown.
+    ops = [PAULI_Y, np.array([[1.0, np.nan], [0.0, 1.0]])]
+    with pytest.raises(NotFinite, match=r"operators must be finite; entry \[1, 0, 1\]"):
+        numeric_isotropic_search(ops, entangled=entangled, seed=1, restarts=4)
 
 
 def test_numeric_search_finds_entangled_counterexample_certificate():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qdiscrim.errors import NotFinite
 from qdiscrim.sphereopt import fibonacci_sphere, grid_oracle, maximize_on_sphere
 
 
@@ -106,6 +107,19 @@ def test_grid_oracle_examples():
     assert grid_oracle(np.zeros((3, 3)), [0.0, 0.0, 0.5], 100) == 0.5
     with pytest.raises(ValueError):
         grid_oracle(np.eye(3), None, 50)
+
+
+@pytest.mark.parametrize("solve", [maximize_on_sphere, grid_oracle])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_m_or_c_is_rejected_by_name(solve, bad):
+    # A NaN max drops out of the grid's argmax and an inf offset gives inf,
+    # so the grid returned a number; the solver blamed an internal "matrix".
+    m = np.eye(3) * 0.5
+    m[2, 0] = bad
+    with pytest.raises(NotFinite, match=r"affine matrix m must be finite; entry \[2, 0\]"):
+        solve(m, np.zeros(3))
+    with pytest.raises(NotFinite, match=r"affine offset c must be finite; entry \[1\]"):
+        solve(np.eye(3) * 0.5, [0.0, bad, 0.0])
 
 
 def test_grid_oracle_deterministic():
