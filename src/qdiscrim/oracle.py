@@ -33,42 +33,48 @@ class OracleEstimate:
     entangled: bool
 
 
-def _check_psi(e1: KrausChannel, e2: KrausChannel, psi) -> tuple[np.ndarray, bool]:
+def _check_psi(e1: KrausChannel, e2: KrausChannel, psi) -> np.ndarray:
     if e1.dim != e2.dim:
         raise DimensionMismatch(f"channel dimensions differ: {e1.dim} vs {e2.dim}")
     psi = np.asarray(psi, dtype=complex).ravel()
-    if psi.size == e1.dim:
-        bipartite = False
-    elif psi.size == e1.dim ** 2:
-        bipartite = True
-    else:
+    if psi.size not in (e1.dim, e1.dim ** 2):
         raise DimensionMismatch(
             f"state dimension {psi.size} matches neither {e1.dim} nor {e1.dim ** 2}")
     require_finite(psi, "input state psi")
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > _NORM_TOL:
         raise NotNormalized(f"state norm is {norm}, expected 1")
-    return psi, bipartite
+    return psi
 
 
-def _outputs(channel: KrausChannel, states: np.ndarray, bipartite: bool) -> np.ndarray:
+def _outputs(channel: KrausChannel, states: np.ndarray) -> np.ndarray:
     """Output states sum_k E_k |psi_n><psi_n| E_k^dag for a stack of pure inputs psi_n.
 
-    Bipartite inputs (dimension d^2) go through channel x identity.
+    Bipartite inputs (dimension d^2) go through channel x identity: as a
+    d x d matrix Psi, the input maps to E_k Psi, so no E_k x I is built.
+    The Kraus sum is B B^dag with the branches E_k psi_n as the columns of B.
     """
-    ops = channel.ops
-    if bipartite:
-        ops = np.stack([np.kron(op, np.eye(channel.dim)) for op in ops])
-    branches = np.einsum("kij,nj->kni", ops, states)
-    return np.einsum("kni,knj->nij", branches, branches.conj())
+    n, size = states.shape
+    branches = channel.ops[None] @ states.reshape(n, 1, channel.dim, -1)
+    cols = branches.reshape(n, -1, size).swapaxes(1, 2)
+    return cols @ cols.conj().swapaxes(1, 2)
 
 
 def _batched_errors(e1: KrausChannel, e2: KrausChannel, priors: PriorPair,
-                    states: np.ndarray, bipartite: bool) -> np.ndarray:
-    """Helstrom errors (1 - ||p1 rho1 - p2 rho2||_1) / 2 for a stack of pure inputs."""
-    diff = priors.p1 * _outputs(e1, states, bipartite) - priors.p2 * _outputs(e2, states, bipartite)
-    eigs = np.linalg.eigvalsh(diff)
-    return (1.0 - np.sum(np.abs(eigs), axis=1)) / 2.0
+                    states: np.ndarray) -> np.ndarray:
+    """Helstrom errors (1 - ||p1 rho1 - p2 rho2||_1) / 2 for a stack of pure inputs.
+
+    A 2x2 difference [[a, c], [c*, b]] has trace norm |l1| + |l2|, the larger
+    of |a + b| and the eigenvalue gap hypot(a - b, 2|c|); larger ones go
+    through eigvalsh.
+    """
+    diff = priors.p1 * _outputs(e1, states) - priors.p2 * _outputs(e2, states)
+    if diff.shape[1] == 2:
+        a, b = diff[:, 0, 0].real, diff[:, 1, 1].real
+        norms = np.maximum(np.abs(a + b), np.hypot(a - b, 2.0 * np.abs(diff[:, 0, 1])))
+    else:
+        norms = np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=1)
+    return (1.0 - norms) / 2.0
 
 
 def helstrom_error_at(e1: KrausChannel, e2: KrausChannel, priors: PriorPair, psi) -> float:
@@ -76,8 +82,8 @@ def helstrom_error_at(e1: KrausChannel, e2: KrausChannel, priors: PriorPair, psi
 
     A bipartite psi (dimension d^2) is fed through channel x identity.
     """
-    psi, bipartite = _check_psi(e1, e2, psi)
-    return float(_batched_errors(e1, e2, priors, psi[None], bipartite)[0])
+    psi = _check_psi(e1, e2, psi)
+    return float(_batched_errors(e1, e2, priors, psi[None])[0])
 
 
 def _axis_states() -> np.ndarray:
@@ -108,9 +114,10 @@ def _deterministic_extras(dim: int, entangled: bool) -> np.ndarray:
 def _haar_states(n: int, dim: int, seed: int) -> np.ndarray:
     """n Haar-random pure states; row i is a fixed function of (seed, i)."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    raw = rng.standard_normal((n, 2 * dim))
-    states = raw[:, 0::2] + 1j * raw[:, 1::2]
-    return states / np.linalg.norm(states, axis=1, keepdims=True)
+    # Each row's normals alternate real and imaginary parts.
+    states = rng.standard_normal((n, 2 * dim)).view(complex)
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    return states
 
 
 def sampled_min_error(e1: KrausChannel, e2: KrausChannel, priors: PriorPair,
@@ -129,7 +136,7 @@ def sampled_min_error(e1: KrausChannel, e2: KrausChannel, priors: PriorPair,
         raise DimensionMismatch(f"channel dimensions differ: {e1.dim} vs {e2.dim}")
     dim = e1.dim * e1.dim if entangled else e1.dim
     states = np.vstack([_deterministic_extras(e1.dim, entangled), _haar_states(n, dim, seed)])
-    errors = _batched_errors(e1, e2, priors, states, entangled)
+    errors = _batched_errors(e1, e2, priors, states)
     best = int(np.argmin(errors))
     return OracleEstimate(
         p_error_estimate=float(errors[best]),
@@ -150,8 +157,8 @@ def simulate_experiment(e1: KrausChannel, e2: KrausChannel, priors: PriorPair,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    psi, bipartite = _check_psi(e1, e2, psi)
-    rho1, rho2 = _outputs(e1, psi[None], bipartite)[0], _outputs(e2, psi[None], bipartite)[0]
+    psi = _check_psi(e1, e2, psi)
+    rho1, rho2 = _outputs(e1, psi[None])[0], _outputs(e2, psi[None])[0]
     diff = priors.p1 * rho1 - priors.p2 * rho2
     eigvals, eigvecs = np.linalg.eigh(diff)
     positive = eigvecs[:, eigvals >= -1e-12]

@@ -11,6 +11,7 @@ rest with verdicts restricted to {yes, unknown}.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,6 +262,23 @@ def _gauss_newton(stack: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.where(improved[:, None], psi, start), np.where(improved, loss, start_loss)
 
 
+@functools.lru_cache(maxsize=64)
+def _starts(seed: int, indices: range, dim: int) -> np.ndarray:
+    """Unit start vectors, one row per restart index, each from its own Philox stream.
+
+    Shared by every search with the same arguments, so the array is read-only.
+    """
+    starts = []
+    for index in indices:
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index,))))
+        raw = rng.standard_normal(2 * dim)
+        psi = raw[0::2] + 1j * raw[1::2]
+        starts.append(psi / np.linalg.norm(psi))
+    block = np.stack(starts)
+    block.flags.writeable = False
+    return block
+
+
 def numeric_isotropic_search(ops, entangled: bool, seed: int = 0,
                              restarts: int = 16) -> PerfectVerdict:
     """Seeded search for a joint isotropic vector of the given operators.
@@ -275,19 +293,17 @@ def numeric_isotropic_search(ops, entangled: bool, seed: int = 0,
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
-    stack = require_finite(np.stack([as_complex_matrix(op) for op in ops]), "operators")
+    ops = [as_complex_matrix(op) for op in ops]
+    if not ops:
+        raise ValueError("need at least one operator; the operator list is empty")
+    stack = require_finite(np.stack(ops), "operators")
     if entangled:
         stack = np.stack([np.kron(op, np.eye(stack.shape[1])) for op in stack])
     dim = stack.shape[1]
     strategy = STRATEGY_ENTANGLED if entangled else STRATEGY_PRODUCT
     for first in range(0, restarts, _RESTART_BLOCK):
-        starts = []
-        for index in range(first, min(first + _RESTART_BLOCK, restarts)):
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index,))))
-            raw = rng.standard_normal(2 * dim)
-            psi = raw[0::2] + 1j * raw[1::2]
-            starts.append(psi / np.linalg.norm(psi))
-        psi, loss = _gauss_newton(stack, np.stack(starts))
+        block = range(first, min(first + _RESTART_BLOCK, restarts))
+        psi, loss = _gauss_newton(stack, _starts(seed, block, dim))
         succeeded = np.flatnonzero(loss < _LOSS_SUCCESS)
         if succeeded.size:
             return PerfectVerdict(YES, strategy, _fix_phase(psi[succeeded[0]]), METHOD_NUMERIC_SEARCH)

@@ -13,6 +13,7 @@ missing norm.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,13 +30,19 @@ _SECULAR_BRACKET_TOL = 1e-15
 _SIGN_TOL = 1e-12
 
 
+@functools.lru_cache(maxsize=4)
 def fibonacci_sphere(n: int) -> np.ndarray:
-    """n deterministic, roughly equidistributed points on the unit sphere."""
+    """n deterministic, roughly equidistributed points on the unit sphere.
+
+    Built once per n and shared by every caller, so the array is read-only.
+    """
     k = np.arange(n)
     z = 1.0 - 2.0 * (k + 0.5) / n
     rad = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     theta = _GOLDEN_ANGLE * k
-    return np.column_stack([rad * np.cos(theta), rad * np.sin(theta), z])
+    pts = np.column_stack([rad * np.cos(theta), rad * np.sin(theta), z])
+    pts.flags.writeable = False
+    return pts
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,15 +55,23 @@ class SphereMaxResult:
     hard_case: bool
 
 
-def coerce_affine(m, c) -> tuple[np.ndarray, np.ndarray]:
-    """m as a finite float 3x3 matrix and c as a finite float 3-vector (zeros when c is None).
+def _real_array(x, what: str) -> np.ndarray:
+    # np.asarray(..., dtype=float) would drop an imaginary part with only a warning.
+    if np.iscomplexobj(x):
+        raise ValueError(f"expected a real {what}, got complex entries")
+    return np.asarray(x, dtype=float)
 
-    Both shapes are checked (ValueError) before the entries (NotFinite).
+
+def coerce_affine(m, c) -> tuple[np.ndarray, np.ndarray]:
+    """m as a finite real 3x3 matrix and c as a finite real 3-vector (zeros when c is None).
+
+    Complex input and both shapes are checked (ValueError) before the
+    entries (NotFinite).
     """
-    m = np.asarray(m, dtype=float)
+    m = _real_array(m, "3x3 matrix")
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-    c = np.zeros(3) if c is None else np.asarray(c, dtype=float)
+    c = np.zeros(3) if c is None else _real_array(c, "3-vector offset")
     if c.shape != (3,):
         raise ValueError(f"expected a 3-vector offset, got shape {c.shape}")
     return require_finite(m, "affine matrix m"), require_finite(c, "affine offset c")

@@ -5,6 +5,7 @@ from qdiscrim.channels import (
     KrausChannel,
     PAULI_I,
     PAULI_X,
+    PAULI_Z,
     bloch_to_ket,
     gpc_to_kraus,
     kraus_to_affine,
@@ -66,18 +67,29 @@ def test_helstrom_error_at_bipartite_input():
 
 def test_batched_errors_match_single_calls(rng):
     from conftest import random_kraus_channel
-    e1, e2 = random_kraus_channel(rng), random_kraus_channel(rng)
     priors = PriorPair.from_p1(0.3)
-    states = _haar_states(50, 2, 17)
-    batch = _batched_errors(e1, e2, priors, states, False)
-    singles = [helstrom_error_at(e1, e2, priors, psi) for psi in states]
-    np.testing.assert_allclose(batch, singles, atol=1e-12)
-    # A fixed probe is a batch of one, so also check against the operator
-    # sum applied to |psi><psi| directly.
-    for psi, error in zip(states, batch):
-        rho = np.outer(psi, psi.conj())
-        diff = priors.p1 * apply_kraus(e1, rho) - priors.p2 * apply_kraus(e2, rho)
-        assert abs(error - (1.0 - trace_norm_hermitian(diff)) / 2.0) < 1e-12
+    # Qubit product probes take the closed-form 2x2 trace norm, bipartite
+    # probes (d = 2, 3) take eigvalsh.  A fixed probe is a batch of one, so
+    # also check against the operator sum of E x I applied to |psi><psi|.
+    for dim, size in ((2, 2), (2, 4), (3, 9)):
+        e1, e2 = random_kraus_channel(rng, dim), random_kraus_channel(rng, dim)
+        states = _haar_states(50, size, 17)
+        batch = _batched_errors(e1, e2, priors, states)
+        singles = [helstrom_error_at(e1, e2, priors, psi) for psi in states]
+        np.testing.assert_allclose(batch, singles, atol=1e-12)
+        ancilla = np.eye(size // dim)
+        k1, k2 = (KrausChannel([np.kron(op, ancilla) for op in ch.ops]) for ch in (e1, e2))
+        for psi, error in zip(states, batch):
+            rho = np.outer(psi, psi.conj())
+            diff = priors.p1 * apply_kraus(k1, rho) - priors.p2 * apply_kraus(k2, rho)
+            assert abs(error - (1.0 - trace_norm_hermitian(diff)) / 2.0) < 1e-12
+    # Edge cases of the closed form: the zero matrix, a traceless difference
+    # (|+><+| - |-><-|) / 2 and a rank-one difference -0.4 |+><+|.
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    phase_flip = KrausChannel([PAULI_Z])
+    for e2, p1, expected in ((IDENT, 0.5, 0.5), (phase_flip, 0.5, 0.0), (IDENT, 0.3, 0.3)):
+        error = _batched_errors(IDENT, e2, PriorPair.from_p1(p1), plus[None])[0]
+        assert abs(error - expected) < 1e-12
 
 
 def test_haar_states_reproducible_and_prefix_stable():

@@ -205,6 +205,10 @@ def test_numeric_search_examples():
     blocked = numeric_isotropic_search([PAULI_I], entangled=False, seed=1, restarts=2)
     assert blocked.distinguishable == UNKNOWN
     assert blocked.certificate is None
+    # An empty list ended in numpy's "need at least one array to stack".
+    for entangled in (False, True):
+        with pytest.raises(ValueError, match="operator list is empty"):
+            numeric_isotropic_search([], entangled=entangled)
 
 
 @pytest.mark.parametrize("entangled", [False, True])

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qdiscrim.channels import AffineChannel
 from qdiscrim.errors import NotFinite
 from qdiscrim.sphereopt import fibonacci_sphere, grid_oracle, maximize_on_sphere
 
@@ -11,6 +12,11 @@ from qdiscrim.sphereopt import fibonacci_sphere, grid_oracle, maximize_on_sphere
 def test_fibonacci_sphere_points_are_unit():
     pts = fibonacci_sphere(500)
     np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
+    # The grid is built once per n and shared, so no caller may write to it.
+    again = fibonacci_sphere(500)
+    assert again.tobytes() == pts.tobytes()
+    with pytest.raises(ValueError):
+        again[0, 0] = 2.0
 
 
 def test_pure_operator_norm_case():
@@ -120,6 +126,16 @@ def test_non_finite_m_or_c_is_rejected_by_name(solve, bad):
         solve(m, np.zeros(3))
     with pytest.raises(NotFinite, match=r"affine offset c must be finite; entry \[1\]"):
         solve(np.eye(3) * 0.5, [0.0, bad, 0.0])
+
+
+@pytest.mark.parametrize("solve", [maximize_on_sphere, grid_oracle, AffineChannel])
+def test_complex_m_or_c_is_rejected(solve):
+    # The imaginary part was dropped with only a warning: the solver
+    # returned 0.5 for a matrix whose largest singular value is 0.707.
+    with pytest.raises(ValueError, match="expected a real 3x3 matrix"):
+        solve(np.eye(3) * (0.5 + 0.5j), np.zeros(3))
+    with pytest.raises(ValueError, match="expected a real 3-vector offset"):
+        solve(np.eye(3) * 0.5, np.array([0.0, 0.1j, 0.0]))
 
 
 def test_grid_oracle_deterministic():
