@@ -8,6 +8,8 @@ channels and their qudit generalization).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import linalg
@@ -33,6 +35,7 @@ _PAULI_STACK = np.stack(PAULIS)
 COMPLETENESS_TOL = 1e-9
 _CHOI_TOL = 1e-9
 # Row 4i + j is sigma_j^T (x) sigma_i / 2, so T.ravel() @ _CHOI_BASIS is the Choi matrix.
+# The rows are orthonormal, so conj(_CHOI_BASIS) @ choi.ravel() gives T.ravel() back.
 _CHOI_BASIS = np.stack([np.kron(sj.T, si) for si in PAULIS for sj in PAULIS]).reshape(16, 16) / 2.0
 
 
@@ -58,7 +61,8 @@ class KrausChannel:
         if arr.ndim != 3 or arr.shape[0] == 0 or arr.shape[1] != arr.shape[2]:
             raise ValueError(f"expected a nonempty stack of square operators, got shape {arr.shape}")
         linalg.require_finite(arr, "Kraus operators")
-        completeness = np.einsum("kij,kil->jl", arr.conj(), arr)
+        stacked = arr.reshape(-1, arr.shape[2])  # the operators one above the other
+        completeness = stacked.conj().T @ stacked
         defect = float(np.max(np.abs(completeness - np.eye(arr.shape[1]))))
         if defect > COMPLETENESS_TOL:
             raise NotTracePreserving(f"sum E^dag E deviates from identity by {defect:.3e}")
@@ -68,7 +72,10 @@ class KrausChannel:
 
 def _choi_matrix(m: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Choi matrix sum_ij T_ij sigma_j^T (x) sigma_i / 2 of r -> m r + c, T = [[1, 0], [c, m]]."""
-    transfer = np.vstack([[1.0, 0.0, 0.0, 0.0], np.column_stack([c, m])])
+    transfer = np.zeros((4, 4))
+    transfer[0, 0] = 1.0
+    transfer[1:, 0] = c
+    transfer[1:, 1:] = m
     return (transfer.ravel() @ _CHOI_BASIS).reshape(4, 4)
 
 
@@ -98,9 +105,11 @@ def kraus_to_affine(ch: KrausChannel) -> AffineChannel:
     """
     if ch.dim != 2:
         raise DimensionMismatch(f"affine Bloch form requires dimension 2, got {ch.dim}")
-    images = np.einsum("kij,sjl,kml->sim", ch.ops, _PAULI_STACK, ch.ops.conj())
-    overlaps = np.einsum("kab,lba->kl", _PAULI_STACK[1:], images).real / 2.0
-    return AffineChannel(overlaps[:, 1:], overlaps[:, 0])
+    # Row 2i + a is column a of E_i, so cols^dag cols is the conjugate of the
+    # Choi matrix, and _CHOI_BASIS takes it to the conjugate of the real T.
+    cols = ch.ops.transpose(0, 2, 1).reshape(-1, 4)
+    transfer = (_CHOI_BASIS @ (cols.conj().T @ cols).ravel()).real.reshape(4, 4)
+    return AffineChannel(transfer[1:, 1:], transfer[1:, 0])
 
 
 def affine_to_kraus(aff: AffineChannel) -> KrausChannel:
@@ -166,6 +175,22 @@ def gpc_basis(d: int) -> list[np.ndarray]:
             for b in range(d) for a in range(d)]
 
 
+@functools.lru_cache(maxsize=16)
+def _check_basis(d: int, data: bytes) -> None:
+    """Raise unless the d^2 stacked d x d matrices in data are trace-orthogonal unitaries.
+
+    Keyed by the bytes, so each distinct basis is checked once per process;
+    a failed check raises and is not cached.
+    """
+    stack = np.frombuffer(data, dtype=complex).reshape(d * d, d, d)
+    for u in stack:
+        linalg.require_unitary(u, "basis element")
+    flat = stack.reshape(d * d, -1)
+    gram = flat.conj() @ flat.T
+    if float(np.max(np.abs(gram - d * np.eye(d * d)))) > 1e-9:
+        raise BasisNotOrthogonal("basis is not trace-orthogonal: Tr(U_m^dag U_n) != d delta_mn")
+
+
 class GpcChannel:
     """Mixture of trace-orthogonal unitaries rho -> sum_n q_n U_n rho U_n^dag."""
 
@@ -177,11 +202,7 @@ class GpcChannel:
         if len(ops) != d * d or any(u.shape != (d, d) for u in ops):
             raise ValueError(f"basis must hold {d * d} unitaries of dimension {d}")
         stack = np.stack(ops)
-        for u in ops:
-            linalg.require_unitary(u, "basis element")
-        gram = np.einsum("mij,nij->mn", stack.conj(), stack)
-        if float(np.max(np.abs(gram - d * np.eye(d * d)))) > 1e-9:
-            raise BasisNotOrthogonal("basis is not trace-orthogonal: Tr(U_m^dag U_n) != d delta_mn")
+        _check_basis(int(d), stack.tobytes())
         self.d = int(d)
         self.q = q
         self.basis = stack
@@ -189,7 +210,7 @@ class GpcChannel:
 
 def pauli_channel(q) -> GpcChannel:
     """Qubit Pauli channel sum_i q_i sigma_i rho sigma_i."""
-    return GpcChannel(2, q, PAULIS)
+    return GpcChannel(2, q, _PAULI_STACK)
 
 
 def gpc_channel(d: int, q) -> GpcChannel:
@@ -201,9 +222,8 @@ def pauli_to_affine(g: GpcChannel) -> AffineChannel:
     """Diagonal Bloch action diag(2(q0+q1)-1, 2(q0+q2)-1, 2(q0+q3)-1) of a Pauli channel."""
     if g.d != 2:
         raise DimensionMismatch(f"Pauli form requires dimension 2, got {g.d}")
-    for u, sigma in zip(g.basis, PAULIS):
-        if float(np.max(np.abs(u - sigma))) > 1e-9:
-            raise BasisNotPauli("channel basis is not (I, X, Y, Z)")
+    if float(np.max(np.abs(g.basis - _PAULI_STACK))) > 1e-9:
+        raise BasisNotPauli("channel basis is not (I, X, Y, Z)")
     deltas = np.array([2.0 * (g.q[0] + g.q[i]) - 1.0 for i in (1, 2, 3)])
     return AffineChannel(np.diag(deltas), np.zeros(3))
 

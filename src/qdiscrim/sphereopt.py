@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eig, require_finite
+from .linalg import require_finite
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -120,15 +120,21 @@ def maximize_on_sphere(m, c=None) -> SphereMaxResult:
     docstring; in the hard case (offset orthogonal to the top eigenspace
     of m^T m) the missing norm may be supplied along the top eigenspace.
     The returned argmax follows a deterministic sign convention: whenever
-    both signs achieve the maximum, the first component of magnitude
-    > 1e-12 is made positive.
+    both signs achieve the maximum to a relative 1e-12, the first component
+    of magnitude > 1e-12 is made positive.
     """
     m, c = coerce_affine(m, c)
-    gram = m.T @ m
-    eig = hermitian_eig(gram)
-    d = eig.eigenvalues
-    basis = eig.eigenvectors.real
+    # m^T m is real symmetric and m is already checked, so LAPACK's real
+    # eigh runs on it directly.  The stable sort keeps tied eigenvalues in
+    # LAPACK's order.
+    d, basis = np.linalg.eigh(m.T @ m)
+    order = np.argsort(-d, kind="stable")
+    d, basis = d[order], basis[:, order]
     b = basis.T @ (m.T @ c)
+    # u = b / (t + gaps) is unchanged when d, b and t share one factor.  Dividing
+    # them by a power of two is exact, and makes the tolerances below relative.
+    scale = math.frexp(max(float(d[0]), *map(abs, b.tolist())))[1]
+    d, b = np.ldexp(d, -scale), np.ldexp(b, -scale)
     gaps = d[0] - d
 
     top = gaps < _DEGENERACY_TOL
@@ -142,37 +148,31 @@ def maximize_on_sphere(m, c=None) -> SphereMaxResult:
     t = 0.0 if stays_inside else _secular_root(gaps, b)
     u = np.divide(b, t + gaps, out=np.zeros(3), where=nonzero)
     if stays_inside:
-        u[np.flatnonzero(top)[-1]] = math.sqrt(max(0.0, 1.0 - float(u @ u)))
+        # Oriented so the eigenvector's first component above 1e-12 is positive.
+        fill = np.flatnonzero(top)[-1]
+        lead = basis[np.argmax(np.abs(basis[:, fill]) > _SIGN_TOL), fill]
+        u[fill] = math.copysign(math.sqrt(max(0.0, 1.0 - float(u @ u))), lead)
     r = basis @ u
     norm_r = float(np.linalg.norm(r))
     r = r / norm_r if norm_r > 0.0 else np.array([0.0, 0.0, 1.0])
 
     value = float(np.linalg.norm(m @ r + c))
     flipped = float(np.linalg.norm(m @ -r + c))
-    if abs(flipped - value) <= _SIGN_TOL * max(1.0, value):
+    if abs(flipped - value) <= _SIGN_TOL * value:
         nz = np.flatnonzero(np.abs(r) > _SIGN_TOL)
         if nz.size and r[nz[0]] < 0.0:
             r = -r
-    return SphereMaxResult(value=value, argmax=r, multiplier=float(d[0] + t),
+    return SphereMaxResult(value=value, argmax=r, multiplier=math.ldexp(float(d[0] + t), scale),
                            hard_case=bool(hard))
 
 
-def grid_oracle(m, c=None, n: int = 10000) -> float:
-    """Sampled maximum of ||m r + c||, independent of the secular solver.
+def _polish(m: np.ndarray, c: np.ndarray, r: np.ndarray) -> float:
+    """||m r + c|| after up to 20 projected-gradient ascent steps from the unit vector r.
 
-    Takes the best of n Fibonacci-sphere points and polishes it with 20
-    projected-gradient ascent steps (adaptive step, backtracking), which
-    keeps the whole procedure deterministic for fixed n.
+    The step adapts (doubled after a success, halved on backtracking), so
+    the result is a deterministic function of (m, c, r).
     """
-    m, c = coerce_affine(m, c)
-    if n < 100:
-        raise ValueError("grid oracle needs n >= 100 sample points")
-    pts = fibonacci_sphere(n)
-    vals = np.linalg.norm(pts @ m.T + c, axis=1)
-    best_idx = int(np.argmax(vals))
-    r = pts[best_idx]
-    best = float(vals[best_idx])
-
+    best = float(np.linalg.norm(m @ r + c))
     gram = m.T @ m
     drift = m.T @ c
     step = 1.0
@@ -195,3 +195,21 @@ def grid_oracle(m, c=None, n: int = 10000) -> float:
         r, best, used = accepted
         step = used * 2.0
     return best
+
+
+def grid_oracle(m, c=None, n: int = 10000) -> float:
+    """Sampled maximum of ||m r + c||, independent of the secular solver.
+
+    Takes the best of n Fibonacci-sphere points and polishes it, and its
+    antipode, by projected-gradient ascent, keeping the better of the two.
+    With a small offset the maxima near +v and -v (v the top right
+    singular vector of m) nearly tie, and the grid point may sit on the
+    slope of the lower one.  The procedure is deterministic for fixed n.
+    """
+    m, c = coerce_affine(m, c)
+    if n < 100:
+        raise ValueError("grid oracle needs n >= 100 sample points")
+    pts = fibonacci_sphere(n)
+    vals = np.linalg.norm(pts @ m.T + c, axis=1)
+    r = pts[int(np.argmax(vals))]
+    return max(_polish(m, c, r), _polish(m, c, -r))

@@ -14,6 +14,7 @@ Re-record only when a change of behaviour is intended, and say so.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -171,10 +172,17 @@ def perfect_cases(rng) -> list[dict]:
 
 
 def run_case(case: dict, workdir: str) -> dict:
-    """The report `qdiscrim` prints for one case; the test replays cases the same way."""
-    path = os.path.join(workdir, "spec.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(case["spec"], handle)
+    """The report `qdiscrim` prints for one case; the test replays cases the same way.
+
+    Each distinct spec is written once to workdir, under a name derived
+    from its content, and every later call with the same spec reads that
+    file again instead of rewriting it.
+    """
+    text = json.dumps(case["spec"])
+    path = os.path.join(workdir, hashlib.sha256(text.encode()).hexdigest()[:32] + ".json")
+    if not os.path.exists(path):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main([case["argv"][0], path, *case["argv"][1:]])

@@ -144,6 +144,19 @@ def test_kraus_to_affine_matches_apply_definition(ch):
     assert np.max(np.abs(aff.c - c)) <= 1e-14
 
 
+@pytest.mark.parametrize("n_ops", [1, 2, 3, 4])
+def test_kraus_to_affine_matches_the_trace_definition(rng, n_ops):
+    # T_kl = Tr(sigma_k E(sigma_l)) / 2, summed operator by operator.
+    from conftest import random_kraus_channel
+    for _ in range(20):
+        ch = random_kraus_channel(rng, n_ops=n_ops)
+        aff = kraus_to_affine(ch)
+        transfer = np.array([[sum(np.trace(PAULIS[k] @ e @ PAULIS[l] @ e.conj().T) for e in ch.ops).real
+                              / 2.0 for l in range(4)] for k in range(4)])
+        assert np.max(np.abs(aff.m - transfer[1:, 1:])) <= 1e-15
+        assert np.max(np.abs(aff.c - transfer[1:, 0])) <= 1e-15
+
+
 _EQ14_LINES = {
     # name -> (diag of M as function of parameter, offset)
     "bit_flip": lambda p: ([1.0, 2 * p - 1, 2 * p - 1], [0, 0, 0]),
@@ -375,6 +388,26 @@ def test_gpc_channel_validation():
         GpcChannel(2, [0.25] * 4, [PAULI_I, PAULI_I, PAULI_X, PAULI_Y])
     with pytest.raises(NotUnitary):
         GpcChannel(2, [0.25] * 4, [PAULI_I, PAULI_X, PAULI_Y, 2.0 * PAULI_Z])
+
+
+def test_bad_gpc_basis_raises_on_every_construction():
+    # Each distinct basis is checked once and remembered, but only a basis that passed.
+    for _ in range(3):
+        with pytest.raises(BasisNotOrthogonal):
+            GpcChannel(2, [0.25] * 4, [PAULI_I, PAULI_I, PAULI_X, PAULI_Y])
+        with pytest.raises(NotUnitary):
+            GpcChannel(2, [0.25] * 4, [PAULI_I, PAULI_X, PAULI_Y, 2.0 * PAULI_Z])
+        GpcChannel(2, [0.25] * 4, PAULIS)
+
+
+def test_gpc_channel_keeps_its_own_basis():
+    basis = np.stack(gpc_basis(3))
+    g = GpcChannel(3, np.full(9, 1.0 / 9.0), basis)
+    basis[:] = 0.0
+    np.testing.assert_array_equal(g.basis, np.stack(gpc_basis(3)))
+    paulis = pauli_channel([0.25] * 4).basis
+    paulis[1] = 0.0
+    np.testing.assert_array_equal(pauli_channel([0.25] * 4).basis, np.stack(PAULIS))
 
 
 def test_characteristic_vector_examples():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -53,6 +53,36 @@ def test_hard_case_with_transverse_offset():
                                       abs=1e-6)
 
 
+def test_hard_case_fill_follows_the_eigenvector_sign_convention(rng):
+    # Both r and its mirror image across the top eigenspace's complement are
+    # maximisers here; the argmax leans toward the top eigenvector whose first
+    # component above 1e-12 is positive.
+    for _ in range(20):
+        rot = _random_rotation(rng)
+        m = rot @ np.diag([2.0, 1.0, 0.5]) @ rot.T
+        res = maximize_on_sphere(m, rot @ np.array([0.0, 0.3, 0.2]))
+        assert res.hard_case
+        top = rot[:, 0] if rot[np.argmax(np.abs(rot[:, 0]) > 1e-12), 0] > 0.0 else -rot[:, 0]
+        assert res.argmax @ top > 0.1
+
+
+@pytest.mark.parametrize("alpha", [2.0 ** -40, 1e-9, 1e-6, 1e-3, 1e3])
+def test_scaled_problems_scale_the_answer(alpha):
+    # The tolerances were absolute: at alpha = 1e-9 the hard case below gave
+    # 1.1e-9 instead of 2.1e-9, and diag(3, 1, 0) * 1e-6 gave 0.
+    res = maximize_on_sphere(alpha * np.diag([2.0, 1.0, 1.0]), alpha * np.array([0.0, 0.5, 0.0]))
+    assert res.hard_case
+    assert res.value == pytest.approx(alpha * np.sqrt(39.0) / 3.0, rel=1e-12)
+    assert res.multiplier == pytest.approx(4.0 * alpha ** 2, rel=1e-10)
+    np.testing.assert_allclose(res.argmax, [np.sqrt(35.0) / 6.0, 1.0 / 6.0, 0.0], atol=1e-12)
+    res = maximize_on_sphere(alpha * np.diag([3.0, 1.0, 0.0]))
+    assert res.value == pytest.approx(3.0 * alpha, rel=1e-12)
+    np.testing.assert_allclose(res.argmax, [1.0, 0.0, 0.0], atol=1e-12)
+    # r and -r differ by 0.2 %, so the sign convention must not pick +e_1.
+    res = maximize_on_sphere(alpha * np.diag([1.0, 0.5, 0.5]), alpha * np.array([-1e-3, 0.0, 0.0]))
+    np.testing.assert_allclose(res.argmax, [-1.0, 0.0, 0.0], atol=1e-12)
+
+
 def test_colinear_alignment():
     res = maximize_on_sphere(np.eye(3), [1.0, 0.0, 0.0])
     assert res.value == pytest.approx(2.0, abs=1e-12)
@@ -89,13 +119,38 @@ def test_near_hard_case_keeps_kkt_residual():
         assert abs(res.value - np.linalg.norm(m @ res.argmax + c)) < 1e-12
 
 
-@settings(deadline=None)
-@given(arrays(np.float64, (3, 3), elements=st.floats(-1.0, 1.0)),
-       arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)))
-def test_kkt_residual_property(m, c):
+_entries = arrays(np.float64, (3, 3), elements=st.floats(-1.0, 1.0))
+_offsets = arrays(np.float64, 3, elements=st.floats(-1.0, 1.0))
+
+
+@st.composite
+def _hard_cases(draw):
+    """m = U diag(s) V^T with c orthogonal to U e_1, so m^T c misses the top eigenvector."""
+    singular = np.sort(draw(arrays(np.float64, 3, elements=st.floats(0.05, 2.0))))[::-1]
+    left = np.linalg.qr(draw(_entries) + 3.0 * np.eye(3))[0]
+    right = np.linalg.qr(draw(_entries) + 3.0 * np.eye(3))[0]
+    c = draw(_offsets)
+    return left @ np.diag(singular) @ right.T, c - (c @ left[:, 0]) * left[:, 0]
+
+
+_degenerate = st.one_of(
+    st.tuples(st.floats(-1.0, 1.0).map(lambda s: s * np.eye(3)), _offsets | st.just(np.zeros(3))),
+    st.tuples(st.just(np.zeros((3, 3))), _offsets))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(st.tuples(_entries, _offsets), _hard_cases(), _degenerate))
+# With absolute tolerances every eigenvalue of m^T m below 1e-10 counted as
+# top, and the solver returned 4.7e-23 against an optimum of 3.6e-7.
+@example((np.full((3, 3), 2.0 ** -23), np.zeros(3)))
+@example((5e-324 * np.eye(3), np.ones(3)))
+def test_kkt_residual_property(problem):
+    m, c = problem
     res = maximize_on_sphere(m, c)
     assert abs(float(np.linalg.norm(res.argmax)) - 1.0) < 1e-12
     assert _kkt_residual(m, c, res) < 1e-9
+    assert abs(float(np.linalg.norm(m @ res.argmax + c)) - res.value) <= 1e-12 * res.value
+    assert res.value >= grid_oracle(m, c, 10000) - 1e-9
 
 
 def test_global_optimality_sampled(rng):
@@ -136,6 +191,17 @@ def test_complex_m_or_c_is_rejected(solve):
         solve(np.eye(3) * (0.5 + 0.5j), np.zeros(3))
     with pytest.raises(ValueError, match="expected a real 3-vector offset"):
         solve(np.eye(3) * 0.5, np.array([0.0, 0.1j, 0.0]))
+
+
+def test_grid_oracle_polishes_the_antipode_too():
+    # oracle_crosscheck seed 42, op 1249: with ||c|| = 0.0077 the maxima near
+    # +v and -v nearly tie, and polishing only the best grid point climbed the
+    # lower one, 1.08e-5 short of the optimum.
+    m = np.array([[-0.5252000681880925, -1.0950540426111863, 0.11288160271504202],
+                  [1.0141776540566922, -1.064595843167867, 0.3063586115010174],
+                  [-0.1440940266525449, 0.8667852670899044, -3.2629818951294456]])
+    c = np.array([0.007074072622457151, -0.003042710091405292, 0.0002661395807053019])
+    assert abs(grid_oracle(m, c, 100000) - maximize_on_sphere(m, c).value) <= 1e-5
 
 
 def test_grid_oracle_deterministic():
